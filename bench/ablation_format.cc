@@ -24,7 +24,7 @@ int
 run(int argc, char **argv)
 {
     CliParser cli("fixed 32-bit vs native 16/32-bit instruction format");
-    auto s = bench::setup(argc, argv, "", &cli);
+    auto s = bench::setup(argc, argv, "", {false, false}, &cli);
     if (!s)
         return 0;
 

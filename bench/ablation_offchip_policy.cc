@@ -22,7 +22,8 @@ int
 run(int argc, char **argv)
 {
     auto s = bench::setup(argc, argv,
-                          "guaranteed-only vs true off-chip prefetch");
+                          "guaranteed-only vs true off-chip prefetch",
+                          {false, false});
     if (!s)
         return 0;
 

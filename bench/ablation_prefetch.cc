@@ -27,7 +27,7 @@ run(int argc, char **argv)
 {
     auto s = bench::setup(argc, argv,
                           "always-prefetch vs demand-only "
-                          "conventional cache");
+                          "conventional cache", {false, false});
     if (!s)
         return 0;
 

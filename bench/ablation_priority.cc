@@ -21,7 +21,7 @@ run(int argc, char **argv)
 {
     auto s = bench::setup(argc, argv,
                           "instruction vs data priority at the "
-                          "memory interface");
+                          "memory interface", {false, false});
     if (!s)
         return 0;
 

@@ -20,7 +20,8 @@ int
 run(int argc, char **argv)
 {
     auto s = bench::setup(argc, argv,
-                          "IQ/IQB size sweep at a fixed 16-byte line");
+                          "IQ/IQB size sweep at a fixed 16-byte line",
+                          {false, false});
     if (!s)
         return 0;
 

@@ -5,17 +5,21 @@
  * Every bench accepts:
  *     --scale <f>   workload scale (1.0 = the paper's ~150k insts)
  *     --csv         CSV output instead of aligned text
- * plus the standard flag groups registered by
- * registerStandardFlags() (sim/standard_flags.hh): observability,
- * fault injection, sweep control (--jobs, --obs-point, --fi-point,
- * --fail-fast, --point-retries) and engine selection (--engine
- * cycle|trace with --trace-file / --sample-*).  Each bench prints one
- * table per figure panel with the same axes the paper uses (total
- * execution cycles vs. cache size, one column per fetch strategy).
- * Failed points render "ERR" and are reported after the table (see
- * docs/robustness.md); under --engine trace the sweep replays one
- * capture of the workload instead of cycle-simulating every point
- * (see docs/trace_replay.md).
+ * plus the standard flags registered by registerStandardFlags()
+ * (sim/standard_flags.hh).  The sweep benches take every group:
+ * observability, fault injection, sweep control (--jobs, --obs-point,
+ * --fi-point, --fail-fast, --store-dir, --point-deadline-ms) and
+ * engine selection (--engine cycle|trace with --trace-file /
+ * --sample-*).  They print one table per figure panel with the same
+ * axes the paper uses (total execution cycles vs. cache size, one
+ * column per fetch strategy).  Failed points render "ERR" and are
+ * reported after the table (see docs/robustness.md); under --engine
+ * trace the sweep replays one capture of the workload instead of
+ * cycle-simulating every point (see docs/trace_replay.md).
+ *
+ * Benches that run single simulations register neither the sweep nor
+ * the engine group, and refuse fault injection and observability
+ * outputs, which only the sweep applies.
  */
 
 #ifndef PIPESIM_BENCH_COMMON_HH
@@ -47,24 +51,32 @@ struct BenchSetup
     std::shared_ptr<const replay::Trace> trace;
 };
 
-/** Parse standard options and build the workload. @return nullopt on
- *  --help. */
+/**
+ * Parse standard options and build the workload.  Single-run benches
+ * pass @p groups {false, false}; they then reject --fi-* and the
+ * observability outputs with a FatalError.  @return nullopt on
+ * --help.
+ */
 inline std::optional<BenchSetup>
 setup(int argc, char **argv, const std::string &description,
-      CliParser *extra = nullptr)
+      const StandardFlagGroups &groups = {}, CliParser *extra = nullptr)
 {
     CliParser own(description);
     CliParser &cli = extra ? *extra : own;
     cli.addOption("scale", "1.0", "workload scale (1.0 = paper size)");
     cli.addFlag("csv", "CSV output");
-    registerStandardFlags(cli);
+    registerStandardFlags(cli, groups);
     if (!cli.parse(argc, argv))
         return std::nullopt;
 
     BenchSetup s;
     s.scale = cli.getDouble("scale");
     s.csv = cli.getFlag("csv");
-    s.flags = standardFlagsFromCli(cli);
+    s.flags = standardFlagsFromCli(cli, groups);
+    if (!groups.sweep && (s.flags.fault.enabled() || s.flags.obs.any()))
+        fatal("this bench runs single simulations: fault injection "
+              "(--fi-*) and the observability outputs (--cpi-stack/"
+              "--trace-json/--stats-json) apply only to sweep benches");
     s.benchmark = workloads::buildLivermoreBenchmark(s.scale);
     return s;
 }

@@ -28,7 +28,8 @@ run(int argc, char **argv)
 {
     auto s = bench::setup(argc, argv,
                           "I-cache vs D-cache split of a fixed "
-                          "on-chip storage budget");
+                          "on-chip storage budget",
+                          {false, false});
     if (!s)
         return 0;
 

@@ -46,7 +46,8 @@ run(int argc, char **argv)
 {
     auto s = bench::setup(argc, argv,
                           "TIB vs conventional vs PIPE: cycles and "
-                          "off-chip traffic at equal storage");
+                          "off-chip traffic at equal storage",
+                          {false, false});
     if (!s)
         return 0;
 

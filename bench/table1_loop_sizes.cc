@@ -27,7 +27,8 @@ int
 run(int argc, char **argv)
 {
     auto s = bench::setup(argc, argv,
-                          "Table I: Livermore inner-loop sizes");
+                          "Table I: Livermore inner-loop sizes",
+                          {false, false});
     if (!s)
         return 0;
 

@@ -32,12 +32,8 @@ SweepResult::failureReport() const
     std::ostringstream os;
     os << failures.size() << " sweep point(s) failed:\n";
     for (const PointFailure &f : failures) {
-        os << "  " << f.strategy << ":" << f.cacheBytes << " after "
-           << f.attempts << " attempt(s)";
-        if (f.backoffNs)
-            os << " (retry backoff " << f.backoffNs / 1'000'000
-               << " ms)";
-        os << ": " << f.message << "\n";
+        os << "  " << f.strategy << ":" << f.cacheBytes << ": "
+           << f.message << "\n";
         std::istringstream lines(f.snapshot);
         std::string line;
         while (std::getline(lines, line))
@@ -46,10 +42,18 @@ SweepResult::failureReport() const
     return os.str();
 }
 
-SimConfig
-makeSweepConfig(const SweepSpec &spec, const std::string &strategy,
-                unsigned cache_bytes)
+std::optional<SimConfig>
+makeValidSweepConfig(const SweepSpec &spec, const std::string &strategy,
+                     unsigned cache_bytes)
 {
+    // Validity gates that need no config: a conventional cache must
+    // hold at least one line, a TIB at least two entries' worth of
+    // parcels.
+    if (strategy == "conv" && cache_bytes < spec.convLineBytes)
+        return std::nullopt;
+    if (strategy == "tib" && cache_bytes < 2 * parcelBytes)
+        return std::nullopt;
+
     SimConfig cfg;
     cfg.mem = spec.mem;
     cfg.cpu = spec.cpu;
@@ -60,6 +64,9 @@ makeSweepConfig(const SweepSpec &spec, const std::string &strategy,
     } else {
         cfg.fetch = pipeConfigFor(strategy, cache_bytes);
         cfg.fetch.offchipPolicy = spec.policy;
+        // PIPE configurations name a line size; the cache must fit it.
+        if (cfg.fetch.lineBytes > cache_bytes)
+            return std::nullopt;
     }
     if (spec.maxCycles)
         cfg.maxCycles = spec.maxCycles;
@@ -80,107 +87,11 @@ makeSweepConfig(const SweepSpec &spec, const std::string &strategy,
     return cfg;
 }
 
-std::optional<SimConfig>
-makeValidSweepConfig(const SweepSpec &spec, const std::string &strategy,
-                     unsigned cache_bytes)
-{
-    // Validity gates that need no config: a conventional cache must
-    // hold at least one line, a TIB at least two entries' worth of
-    // parcels.
-    if (strategy == "conv" && cache_bytes < spec.convLineBytes)
-        return std::nullopt;
-    if (strategy == "tib" && cache_bytes < 2 * parcelBytes)
-        return std::nullopt;
-
-    SimConfig cfg = makeSweepConfig(spec, strategy, cache_bytes);
-    // PIPE configurations name a line size; the cache must fit it.
-    if (cfg.fetch.strategy == FetchStrategy::Pipe &&
-        cfg.fetch.lineBytes > cache_bytes)
-        return std::nullopt;
-    return cfg;
-}
-
 bool
 sweepPointValid(const SweepSpec &spec, const std::string &strategy,
                 unsigned cache_bytes)
 {
     return makeValidSweepConfig(spec, strategy, cache_bytes).has_value();
-}
-
-std::uint64_t
-retryBackoffNs(const std::string &strategy, unsigned cache_bytes,
-               unsigned attempt, unsigned base_ms)
-{
-    if (base_ms == 0 || attempt <= 1)
-        return 0;
-    const std::uint64_t baseNs = std::uint64_t(base_ms) * 1'000'000;
-    const unsigned exponent = std::min(attempt - 2, 5u);
-    // Reuse the per-point fault-seed derivation for the jitter: its
-    // stream is already a pure function of the point identity, so the
-    // schedule never depends on which worker retries the point.
-    const std::uint64_t jitter = fault::FaultInjector::derivePointSeed(
-                                     0x524554525900ull + attempt,
-                                     strategy, cache_bytes) %
-                                 baseNs;
-    return (baseNs << exponent) + jitter;
-}
-
-DeadlineEnforcer::DeadlineEnforcer(std::vector<PointControl> &controls,
-                                   bool enabled)
-{
-    if (enabled)
-        _thread = std::thread([this, &controls] { watch(controls); });
-}
-
-DeadlineEnforcer::~DeadlineEnforcer()
-{
-    if (_thread.joinable()) {
-        _stop.store(true, std::memory_order_relaxed);
-        _thread.join();
-    }
-}
-
-void
-DeadlineEnforcer::watch(std::vector<PointControl> &controls)
-{
-    while (!_stop.load(std::memory_order_relaxed)) {
-        const std::uint64_t now = obs::profileNowNs();
-        for (PointControl &c : controls) {
-            const std::uint64_t deadline =
-                c.deadlineNs.load(std::memory_order_relaxed);
-            if (deadline && now >= deadline)
-                c.cancel.store(true, std::memory_order_relaxed);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-}
-
-store::ResultKeyParams
-sweepKeyParams(const SweepSpec &spec, const Program &program)
-{
-    store::ResultKeyParams keyParams;
-    keyParams.programSha256 = replay::programSha256(program);
-    if (spec.engine == SweepEngine::Trace) {
-        if (!spec.trace)
-            fatal("trace-engine sweep key requested without a trace "
-                  "(SweepSpec::trace is null)");
-        keyParams.engine =
-            spec.samplePeriod ? "trace-sampled" : "trace-exact";
-        // An auto-captured trace has no encoded-stream hash yet; its
-        // program hash still pins the capture (the committed stream
-        // is a pure function of the program).
-        keyParams.traceSha256 = !spec.trace->sha256.empty()
-                                    ? spec.trace->sha256
-                                    : spec.trace->meta.programSha256;
-        keyParams.samplePeriod = spec.samplePeriod;
-        if (spec.samplePeriod) {
-            keyParams.sampleWarmup = spec.sampleWarmup;
-            keyParams.sampleMeasure = spec.sampleMeasure;
-        }
-    } else {
-        keyParams.engine = "cycle";
-    }
-    return keyParams;
 }
 
 std::vector<SweepPointPlan>
@@ -208,35 +119,97 @@ planSweepPoints(const SweepSpec &spec, const store::ResultKeyParams *keys)
     return points;
 }
 
-SimResult
-runSweepPointOnce(
-    const SweepSpec &spec, const Program &program, const SimConfig &cfg,
-    const std::function<void(Simulator &)> &pre_run,
-    const std::function<void(Simulator &, const SimResult &)> &post_run)
-{
-    if (spec.engine == SweepEngine::Trace) {
-        replay::ReplayOptions opts;
-        opts.samplePeriod = spec.samplePeriod;
-        opts.sampleWarmup = spec.sampleWarmup;
-        opts.sampleMeasure = spec.sampleMeasure;
-        // Windows stay serial inside a point (jobs = 1): the caller
-        // already parallelizes across points, and nesting pools would
-        // oversubscribe the host.
-        opts.ckptDir = spec.ckptDir;
-        opts.ckptCreate = spec.ckptCreate;
-        return replay::replayTrace(cfg, program, *spec.trace, opts);
-    }
-    Simulator sim(cfg, program);
-    if (pre_run)
-        pre_run(sim);
-    const SimResult result = sim.run();
-    if (post_run)
-        post_run(sim, result);
-    return result;
-}
-
 namespace
 {
+
+/**
+ * The result-store key parameters a sweep's points share: program
+ * hash, engine name, trace hash and sampling parameters (the
+ * per-point config/fault identity is folded in by resultKeyHex).
+ */
+store::ResultKeyParams
+sweepKeyParams(const SweepSpec &spec, const Program &program)
+{
+    store::ResultKeyParams keyParams;
+    keyParams.programSha256 = replay::programSha256(program);
+    if (spec.engine == SweepEngine::Trace) {
+        keyParams.engine =
+            spec.samplePeriod ? "trace-sampled" : "trace-exact";
+        // An auto-captured trace has no encoded-stream hash yet; its
+        // program hash still pins the capture (the committed stream
+        // is a pure function of the program).
+        keyParams.traceSha256 = !spec.trace->sha256.empty()
+                                    ? spec.trace->sha256
+                                    : spec.trace->meta.programSha256;
+        keyParams.samplePeriod = spec.samplePeriod;
+        if (spec.samplePeriod) {
+            keyParams.sampleWarmup = spec.sampleWarmup;
+            keyParams.sampleMeasure = spec.sampleMeasure;
+        }
+    } else {
+        keyParams.engine = "cycle";
+    }
+    return keyParams;
+}
+
+/**
+ * Host-side control block for one scheduled point.  deadlineNs is
+ * armed by the point's worker right before it runs and observed by
+ * the DeadlineEnforcer watchdog, which answers by setting cancel —
+ * the flag the simulated machine's tick loop polls through
+ * SimConfig::cancelFlag.
+ */
+struct PointControl
+{
+    std::atomic<std::uint64_t> deadlineNs{0}; //!< 0 = not running
+    std::atomic<bool> cancel{false};
+};
+
+/**
+ * The --point-deadline-ms watchdog: one thread scanning every
+ * in-flight point's armed deadline a few hundred times a second.
+ * Purely host-side — it never touches simulated state, only the
+ * cooperative cancel flags — so it cannot perturb results.  The
+ * controls vector must outlive the enforcer.
+ */
+class DeadlineEnforcer
+{
+  public:
+    DeadlineEnforcer(std::vector<PointControl> &controls, bool enabled)
+    {
+        if (enabled)
+            _thread = std::thread([this, &controls] { watch(controls); });
+    }
+
+    ~DeadlineEnforcer()
+    {
+        if (_thread.joinable()) {
+            _stop.store(true, std::memory_order_relaxed);
+            _thread.join();
+        }
+    }
+
+    DeadlineEnforcer(const DeadlineEnforcer &) = delete;
+    DeadlineEnforcer &operator=(const DeadlineEnforcer &) = delete;
+
+  private:
+    void watch(std::vector<PointControl> &controls)
+    {
+        while (!_stop.load(std::memory_order_relaxed)) {
+            const std::uint64_t now = obs::profileNowNs();
+            for (PointControl &c : controls) {
+                const std::uint64_t deadline =
+                    c.deadlineNs.load(std::memory_order_relaxed);
+                if (deadline && now >= deadline)
+                    c.cancel.store(true, std::memory_order_relaxed);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+    }
+
+    std::atomic<bool> _stop{false};
+    std::thread _thread;
+};
 
 /**
  * One planned point plus the runtime state runCacheSweep tracks for
@@ -247,41 +220,24 @@ struct SweepPoint
 {
     SweepPointPlan plan;
 
-    /** Set when the point exhausted its attempts. */
+    /** Set when the point failed. */
     std::optional<PointFailure> failure;
     std::exception_ptr error;
 
     /** Host telemetry (same publication rule). */
     std::uint64_t wallNs = 0;
-    unsigned attemptsUsed = 0;
-
-    /** Back-off slept across this point's re-attempts. */
-    std::uint64_t backoffNs = 0;
 
     /** True when the store served this point (it never runs). */
     bool served = false;
 };
 
-/** Sleep @p ns, waking early if a shutdown signal arrives. */
-void
-interruptibleSleepNs(std::uint64_t ns)
-{
-    constexpr std::uint64_t kChunkNs = 5'000'000;
-    while (ns > 0 && !pendingSignal()) {
-        const std::uint64_t slice = std::min(ns, kChunkNs);
-        std::this_thread::sleep_for(std::chrono::nanoseconds(slice));
-        ns -= slice;
-    }
-}
-
-/** Turn the exception behind @p error into a structured record. */
+/** Turn the exception behind @p p.error into a structured record. */
 PointFailure
-describeFailure(const SweepPoint &p, unsigned attempts)
+describeFailure(const SweepPoint &p)
 {
     PointFailure f;
     f.strategy = p.plan.strategy;
     f.cacheBytes = p.plan.cacheBytes;
-    f.attempts = attempts;
     try {
         std::rethrow_exception(p.error);
     } catch (const TimeoutAbort &e) {
@@ -463,46 +419,50 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         pendingPoints += p.served ? 0 : 1;
     ProgressReporter progress(spec.progress, pendingPoints);
 
+    // Windows stay serial inside a replayed point (jobs = 1): the
+    // sweep already parallelizes across points, and nesting pools
+    // would oversubscribe the host.
+    replay::ReplayOptions replayOpts;
+    replayOpts.samplePeriod = spec.samplePeriod;
+    replayOpts.sampleWarmup = spec.sampleWarmup;
+    replayOpts.sampleMeasure = spec.sampleMeasure;
+    replayOpts.ckptDir = spec.ckptDir;
+    replayOpts.ckptCreate = spec.ckptCreate;
+
     // Per-run state (Simulator, StatGroup, probe bus) is thread-local
     // to the point's worker; only the user callbacks share state, so
     // they are serialized under this mutex (see SweepSpec::preRun).
     std::mutex callbacks;
-    // Journal a completed point (appends serialize inside the store;
-    // a crash right after the flush still resumes losslessly).
-    auto journal = [&](const SweepPoint &p, const SimResult &result) {
+    // Run one point on the spec's engine.  Its failures propagate to
+    // runPoint, which dispositions them.
+    auto simulatePoint = [&](SweepPoint &p) {
+        std::optional<Simulator> sim;
+        SimResult result;
+        if (spec.engine == SweepEngine::Trace) {
+            result = replay::replayTrace(p.plan.cfg, program, *spec.trace,
+                                         replayOpts);
+        } else {
+            sim.emplace(p.plan.cfg, program);
+            if (spec.preRun) {
+                std::lock_guard<std::mutex> lock(callbacks);
+                spec.preRun(*sim, p.plan.strategy, p.plan.cacheBytes);
+            }
+            result = sim->run();
+        }
+        // Each point owns a distinct cell; no lock needed for it.
+        cells[p.plan.row][p.plan.col] = std::to_string(result.totalCycles);
+        // Journal the completed point (appends serialize inside the
+        // store; a crash right after the flush still resumes
+        // losslessly).
         if (resultStore)
             resultStore->put(p.plan.storeKey,
                              p.plan.strategy + ":" +
                                  std::to_string(p.plan.cacheBytes),
                              result);
-    };
-    auto attemptPoint = [&](SweepPoint &p) {
-        if (spec.engine == SweepEngine::Trace) {
-            const SimResult result =
-                runSweepPointOnce(spec, program, p.plan.cfg);
-            cells[p.plan.row][p.plan.col] =
-                std::to_string(result.totalCycles);
-            journal(p, result);
-            if (on_point) {
-                std::lock_guard<std::mutex> lock(callbacks);
-                on_point(p.plan.strategy, p.plan.cacheBytes, result);
-            }
-            return;
-        }
-        Simulator sim(p.plan.cfg, program);
-        if (spec.preRun) {
+        if ((sim && spec.postRun) || on_point) {
             std::lock_guard<std::mutex> lock(callbacks);
-            spec.preRun(sim, p.plan.strategy, p.plan.cacheBytes);
-        }
-        const SimResult result = sim.run();
-        // Each point owns a distinct cell; no lock needed for it.
-        cells[p.plan.row][p.plan.col] =
-            std::to_string(result.totalCycles);
-        journal(p, result);
-        if (spec.postRun || on_point) {
-            std::lock_guard<std::mutex> lock(callbacks);
-            if (spec.postRun)
-                spec.postRun(sim, p.plan.strategy, p.plan.cacheBytes,
+            if (sim && spec.postRun)
+                spec.postRun(*sim, p.plan.strategy, p.plan.cacheBytes,
                              result);
             if (on_point)
                 on_point(p.plan.strategy, p.plan.cacheBytes, result);
@@ -523,61 +483,31 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
                                p.plan.strategy + ":" +
                                    std::to_string(p.plan.cacheBytes));
         const std::uint64_t start = obs::profileNowNs();
-        const unsigned attempts = 1 + spec.pointRetries;
-        if (deadlines)
-            p.plan.cfg.cancelFlag = &ctl.cancel;
-        for (unsigned a = 1; a <= attempts; ++a) {
-            if (pendingSignal()) {
-                interrupted.store(true, std::memory_order_relaxed);
-                break;
-            }
-            if (a > 1) {
-                // Deterministic, seeded back-off: a function of the
-                // point identity and attempt number only, so the
-                // failure report is identical for any --jobs.
-                const std::uint64_t backoff = retryBackoffNs(
-                    p.plan.strategy, p.plan.cacheBytes, a,
-                    spec.retryBackoffMs);
-                p.backoffNs += backoff;
-                interruptibleSleepNs(backoff);
-                if (pendingSignal()) {
-                    interrupted.store(true, std::memory_order_relaxed);
-                    break;
-                }
-            }
-            ctl.cancel.store(false, std::memory_order_relaxed);
-            if (deadlines)
+        if (pendingSignal()) {
+            interrupted.store(true, std::memory_order_relaxed);
+        } else {
+            if (deadlines) {
+                p.plan.cfg.cancelFlag = &ctl.cancel;
                 ctl.deadlineNs.store(
-                    obs::profileNowNs() +
-                        std::uint64_t(spec.pointDeadlineMs) * 1'000'000,
+                    start + std::uint64_t(spec.pointDeadlineMs) * 1'000'000,
                     std::memory_order_relaxed);
+            }
             try {
-                attemptPoint(p);
-                ctl.deadlineNs.store(0, std::memory_order_relaxed);
-                p.attemptsUsed = a;
-                break;
+                simulatePoint(p);
             } catch (const InterruptedError &) {
-                ctl.deadlineNs.store(0, std::memory_order_relaxed);
                 // Not a point failure: the whole sweep is shutting
                 // down and will rethrow after the workers join.
                 interrupted.store(true, std::memory_order_relaxed);
-                break;
             } catch (...) {
-                ctl.deadlineNs.store(0, std::memory_order_relaxed);
                 p.error = std::current_exception();
-                PointFailure f = describeFailure(p, a);
+                PointFailure f = describeFailure(p);
                 if (f.timeout)
                     reg.counter("point.timeouts").add(1);
-                if (a == attempts) {
-                    p.attemptsUsed = a;
-                    f.backoffNs = p.backoffNs;
-                    cells[p.plan.row][p.plan.col] =
-                        f.timeout ? "ERR(timeout)" : "ERR";
-                    p.failure = std::move(f);
-                } else {
-                    p.error = nullptr;
-                }
+                cells[p.plan.row][p.plan.col] =
+                    f.timeout ? "ERR(timeout)" : "ERR";
+                p.failure = std::move(f);
             }
+            ctl.deadlineNs.store(0, std::memory_order_relaxed);
         }
         p.wallNs = obs::profileNowNs() - start;
         obs::MetricsRegistry::instance()
@@ -646,13 +576,13 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         std::rethrow_exception(first);
 
     // Timings mirror enumeration order: deterministic key sequence
-    // (strategy, cacheBytes, attempts) for any worker count, with
-    // only wallNs carrying host timing.
+    // (strategy, cacheBytes, served) for any worker count, with only
+    // wallNs carrying host timing.
     std::vector<PointTiming> timings;
     timings.reserve(points.size());
     for (const auto &p : points)
-        timings.push_back({p.plan.strategy, p.plan.cacheBytes,
-                           p.attemptsUsed, p.wallNs});
+        timings.push_back(
+            {p.plan.strategy, p.plan.cacheBytes, p.served, p.wallNs});
 
     for (std::size_t r = 0; r < rows; ++r) {
         table.beginRow();

@@ -13,11 +13,9 @@
 #ifndef PIPESIM_SIM_EXPERIMENT_HH
 #define PIPESIM_SIM_EXPERIMENT_HH
 
-#include <atomic>
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "assembler/program.hh"
@@ -71,32 +69,26 @@ struct PointFailure
 {
     std::string strategy;
     unsigned cacheBytes = 0;
-    unsigned attempts = 0; //!< runs tried (1 + spec.pointRetries)
-    std::string message;   //!< the exception's what()
-    std::string snapshot;  //!< machine snapshot (SimAbort only)
+    std::string message;  //!< the exception's what()
+    std::string snapshot; //!< machine snapshot (SimAbort only)
 
-    /** True when the final attempt died on the --point-deadline-ms
-     *  wall-clock watchdog (the cell renders "ERR(timeout)"). */
+    /** True when the point died on the --point-deadline-ms wall-clock
+     *  watchdog (the cell renders "ERR(timeout)"). */
     bool timeout = false;
-
-    /** Total deterministic retry back-off slept across the attempts
-     *  (see retryBackoffNs()); part of the failure report. */
-    std::uint64_t backoffNs = 0;
 };
 
 /**
  * Host-side timing record for one completed (or failed) sweep point.
  * Records come back in enumeration order for every worker count, so
- * the (strategy, cacheBytes, attempts) key sequence is deterministic;
+ * the (strategy, cacheBytes, served) key sequence is deterministic;
  * only wallNs carries nondeterministic host timing.
  */
 struct PointTiming
 {
     std::string strategy;
     unsigned cacheBytes = 0;
-    unsigned attempts = 0;   //!< runs tried (failed attempts included);
-                             //!< 0 = served from the result store
-    std::uint64_t wallNs = 0; //!< host wall-clock across all attempts
+    bool served = false;      //!< served from the result store (never ran)
+    std::uint64_t wallNs = 0; //!< host wall-clock of the point's run
 };
 
 /** What a sweep produced: the table plus any per-point failures. */
@@ -200,23 +192,6 @@ struct SweepSpec
     bool ckptCreate = false;
 
     /**
-     * Extra attempts granted to a failing point before its failure
-     * is recorded (each attempt rebuilds the Simulator from the same
-     * config, so a deterministic fault fails every attempt).
-     */
-    unsigned pointRetries = 0;
-
-    /**
-     * Base of the deterministic retry back-off slept before each
-     * re-attempt (retryBackoffNs(): exponential in the attempt
-     * number, jittered from the point's identity — never from the
-     * worker or wall-clock, so the schedule is byte-identical for
-     * any --jobs).  0 disables the back-off (retries fire
-     * immediately, the pre-PR behaviour).
-     */
-    unsigned retryBackoffMs = 10;
-
-    /**
      * Crash-safe result store directory (src/store/result_store.hh).
      * Empty disables the store.  When set, every enumerated point is
      * looked up by content key before scheduling — hits fill their
@@ -231,7 +206,7 @@ struct SweepSpec
     std::string storeDir;
 
     /**
-     * Per-attempt wall-clock deadline in milliseconds (0 = none).
+     * Per-point wall-clock deadline in milliseconds (0 = none).
      * A watchdog thread arms each running point's cooperative
      * cancellation flag (SimConfig::cancelFlag) when its budget
      * expires; the tick loops observe it and unwind with
@@ -299,11 +274,7 @@ struct SweepSpec
 
 /**
  * One enumerated (cache size, strategy) cell of a sweep grid — the
- * point-level scheduling unit.  runCacheSweep plans its grid through
- * planSweepPoints(); external schedulers (the pipesim-serve daemon,
- * src/server/) plan the same points and run them one at a time with
- * runSweepPointOnce(), so a served sweep is point-for-point identical
- * to a local one.
+ * point-level scheduling unit runCacheSweep plans its grid into.
  */
 struct SweepPointPlan
 {
@@ -318,15 +289,6 @@ struct SweepPointPlan
 };
 
 /**
- * The result-store key parameters a sweep's points share: program
- * hash, engine name, trace hash and sampling parameters (the
- * per-point config/fault identity is folded in by resultKeyHex).
- * Requires spec.trace when the engine is Trace.
- */
-store::ResultKeyParams sweepKeyParams(const SweepSpec &spec,
-                                      const Program &program);
-
-/**
  * Enumerate every valid point of the sweep grid in deterministic
  * (size, strategy) order, building each SimConfig exactly once.
  * When @p keys is non-null each point also gets its result-store
@@ -336,59 +298,6 @@ store::ResultKeyParams sweepKeyParams(const SweepSpec &spec,
 std::vector<SweepPointPlan>
 planSweepPoints(const SweepSpec &spec,
                 const store::ResultKeyParams *keys = nullptr);
-
-/**
- * Run one attempt of one sweep point — the engine dispatch shared by
- * runCacheSweep and the serving scheduler.  Cycle engine: builds a
- * Simulator on @p cfg and runs it, calling @p pre_run right before
- * and @p post_run right after (both optional; never serialized here —
- * that is the caller's contract).  Trace engine: replays spec.trace
- * (pre_run/post_run do not fire; there is no Simulator).  Failures
- * (SimAbort, TimeoutAbort via cfg.cancelFlag, FatalError) propagate
- * to the caller, which owns retry and disposition policy.
- */
-SimResult runSweepPointOnce(
-    const SweepSpec &spec, const Program &program, const SimConfig &cfg,
-    const std::function<void(Simulator &)> &pre_run = {},
-    const std::function<void(Simulator &, const SimResult &)> &post_run =
-        {});
-
-/**
- * Host-side control block for one scheduled point.  deadlineNs is
- * armed by the point's worker right before an attempt and observed by
- * the DeadlineEnforcer watchdog, which answers by setting cancel —
- * the flag the simulated machine's tick loop polls through
- * SimConfig::cancelFlag.  Cancel doubles as the cooperative
- * client-disconnect path in the serving layer.
- */
-struct PointControl
-{
-    std::atomic<std::uint64_t> deadlineNs{0}; //!< 0 = not running
-    std::atomic<bool> cancel{false};
-};
-
-/**
- * The --point-deadline-ms watchdog: one thread scanning every
- * in-flight point's armed deadline a few hundred times a second.
- * Purely host-side — it never touches simulated state, only the
- * cooperative cancel flags — so it cannot perturb results.  The
- * controls vector must outlive the enforcer.
- */
-class DeadlineEnforcer
-{
-  public:
-    DeadlineEnforcer(std::vector<PointControl> &controls, bool enabled);
-    ~DeadlineEnforcer();
-
-    DeadlineEnforcer(const DeadlineEnforcer &) = delete;
-    DeadlineEnforcer &operator=(const DeadlineEnforcer &) = delete;
-
-  private:
-    void watch(std::vector<PointControl> &controls);
-
-    std::atomic<bool> _stop{false};
-    std::thread _thread;
-};
 
 /**
  * Build the SimConfig for one (strategy, cache size) point when the
@@ -402,14 +311,6 @@ std::optional<SimConfig> makeValidSweepConfig(const SweepSpec &spec,
                                               unsigned cache_bytes);
 
 /**
- * Build the SimConfig for one (strategy, cache size) point without a
- * validity check (kept for callers that know the point is valid).
- */
-SimConfig makeSweepConfig(const SweepSpec &spec,
-                          const std::string &strategy,
-                          unsigned cache_bytes);
-
-/**
  * @return true if the point is simulable (the cache must fit at
  *         least one conventional line, PIPE line, or TIB entry pair).
  */
@@ -417,28 +318,13 @@ bool sweepPointValid(const SweepSpec &spec, const std::string &strategy,
                      unsigned cache_bytes);
 
 /**
- * Deterministic retry back-off before attempt @p attempt (2-based:
- * the first attempt never waits) of the point
- * (@p strategy, @p cache_bytes): exponential in the attempt number
- * (capped at 32x) on a base of @p base_ms milliseconds, plus a
- * jitter below one base derived from the point's identity with the
- * same splitmix64 machinery as the per-point fault seeds.  A pure
- * function of its arguments — independent of worker count, wall
- * clock and sweep composition — so retry schedules are reproducible.
- * @return the back-off in nanoseconds (0 when base_ms is 0).
- */
-std::uint64_t retryBackoffNs(const std::string &strategy,
-                             unsigned cache_bytes, unsigned attempt,
-                             unsigned base_ms);
-
-/**
  * Run the sweep over @p program, using spec.jobs worker threads.
  *
  * The result is deterministic and independent of the worker count:
  * each point runs on a private Simulator (own StatGroup and probe
  * bus) and the table is assembled in (size, strategy) order
- * regardless of completion order.  A failing point is retried
- * spec.pointRetries times; under FailFast the first failure in
+ * regardless of completion order.  Points are deterministic, so a
+ * failing point is not retried: under FailFast the first failure in
  * enumeration order is rethrown after all workers finish, under
  * CollectAndContinue it renders "ERR" in that cell and is returned
  * in SweepResult::failures (postRun/on_point do not fire for failed

@@ -17,8 +17,8 @@
  * Signal handling: runGuardedMain() installs SIGINT/SIGTERM handlers
  * that do nothing but record the signal in an atomic flag.  The
  * long-running loops (Simulator::checkWatchdogs, the replay engine's
- * per-cycle watchdogs, the sweep engine between points and retry
- * back-offs) poll the flag via checkInterrupt() and unwind with
+ * per-cycle watchdogs, the sweep engine between points) poll the flag
+ * via checkInterrupt() and unwind with
  * InterruptedError, so teardown is always orderly: destructors run,
  * the profiler report flushes, and — crucially for crash-safe sweeps
  * (docs/robustness.md, "Crash safety and resume") — the result-store

@@ -31,12 +31,6 @@ registerStandardFlags(CliParser &cli, const StandardFlagGroups &groups)
         cli.addFlag("fail-fast",
                     "abort the sweep on the first point failure instead "
                     "of rendering ERR cells and reporting at the end");
-        cli.addOption("point-retries", "0",
-                      "extra attempts granted to a failing sweep point");
-        cli.addOption("retry-backoff-ms", "10",
-                      "base delay before a point's re-attempt, doubling "
-                      "per retry with a deterministic per-point jitter "
-                      "(0 = retry immediately)");
         cli.addFlag("progress",
                     "emit a throttled sweep heartbeat with ETA on "
                     "stderr (stdout tables are unaffected)");
@@ -108,8 +102,6 @@ standardFlagsFromCli(const CliParser &cli, const StandardFlagGroups &groups)
         f.obsPoint = cli.get("obs-point");
         f.faultPoint = cli.get("fi-point");
         f.failFast = cli.getFlag("fail-fast");
-        f.pointRetries = nonNegative(cli, "point-retries");
-        f.retryBackoffMs = nonNegative(cli, "retry-backoff-ms");
         f.progress = cli.getFlag("progress");
         f.storeDir = cli.get("store-dir");
         f.pointDeadlineMs = nonNegative(cli, "point-deadline-ms");
@@ -182,8 +174,6 @@ applyStandardFlags(SweepSpec &spec, const StandardFlags &flags)
     spec.progress = flags.progress;
     spec.fault = flags.fault;
     spec.faultPoint = flags.faultPoint;
-    spec.pointRetries = flags.pointRetries;
-    spec.retryBackoffMs = flags.retryBackoffMs;
     spec.storeDir = flags.storeDir;
     spec.pointDeadlineMs = flags.pointDeadlineMs;
     if (flags.progressWindow)

@@ -7,8 +7,8 @@
  *   host profiling  --profile, --profile-json
  *   fault injection --fi-kind, --fi-seed, --fi-rate
  *   sweep control   --jobs, --obs-point, --fi-point, --fail-fast,
- *                   --point-retries, --retry-backoff-ms, --progress,
- *                   --store-dir, --point-deadline-ms, --progress-window
+ *                   --progress, --store-dir, --point-deadline-ms,
+ *                   --progress-window
  *   engine          --engine cycle|trace, --trace-file,
  *                   --sample-period, --sample-warmup, --sample-measure,
  *                   --ckpt-dir, --ckpt-create
@@ -60,8 +60,6 @@ struct StandardFlags
     std::string obsPoint;   //!< "strategy:cachebytes" the obs observe
     std::string faultPoint; //!< restrict injection to this point
     bool failFast = false;  //!< rethrow instead of collecting failures
-    unsigned pointRetries = 0;
-    unsigned retryBackoffMs = 10; //!< base retry delay (0 = immediate)
     bool progress = false;  //!< --progress: stderr sweep heartbeat
     std::string storeDir;   //!< crash-safe result store (empty = none)
     unsigned pointDeadlineMs = 0;  //!< per-point wall clock (0 = none)

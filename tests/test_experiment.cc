@@ -98,14 +98,19 @@ TEST(ExperimentTest, MakeValidSweepConfigMatchesMakeSweepConfig)
     SweepSpec spec;
     spec.mem.accessTime = 6;
     spec.policy = OffchipPolicy::GuaranteedOnly;
-    const auto valid = makeValidSweepConfig(spec, "16-16", 64);
-    ASSERT_TRUE(valid.has_value());
-    const SimConfig direct = makeSweepConfig(spec, "16-16", 64);
-    EXPECT_EQ(valid->fetch.strategy, direct.fetch.strategy);
-    EXPECT_EQ(valid->fetch.cacheBytes, direct.fetch.cacheBytes);
-    EXPECT_EQ(valid->fetch.lineBytes, direct.fetch.lineBytes);
-    EXPECT_EQ(valid->fetch.offchipPolicy, direct.fetch.offchipPolicy);
-    EXPECT_EQ(valid->mem.accessTime, direct.mem.accessTime);
+    // The planner builds each point through makeValidSweepConfig; the
+    // planned config must match a direct call.
+    spec.cacheSizes = {64};
+    spec.strategies = {"16-16"};
+    const auto plans = planSweepPoints(spec);
+    ASSERT_EQ(plans.size(), 1u);
+    const SimConfig &planned = plans[0].cfg;
+    const SimConfig direct = *makeValidSweepConfig(spec, "16-16", 64);
+    EXPECT_EQ(planned.fetch.strategy, direct.fetch.strategy);
+    EXPECT_EQ(planned.fetch.cacheBytes, direct.fetch.cacheBytes);
+    EXPECT_EQ(planned.fetch.lineBytes, direct.fetch.lineBytes);
+    EXPECT_EQ(planned.fetch.offchipPolicy, direct.fetch.offchipPolicy);
+    EXPECT_EQ(planned.mem.accessTime, direct.mem.accessTime);
 }
 
 TEST(ExperimentTest, ParallelSweepIsDeterministic)
@@ -230,7 +235,7 @@ TEST(ExperimentTest, MakeSweepConfigAppliesParameters)
     spec.mem.busWidthBytes = 8;
     spec.mem.pipelined = true;
     spec.policy = OffchipPolicy::GuaranteedOnly;
-    const SimConfig pipe = makeSweepConfig(spec, "16-16", 64);
+    const SimConfig pipe = *makeValidSweepConfig(spec, "16-16", 64);
     EXPECT_EQ(pipe.mem.accessTime, 6u);
     EXPECT_EQ(pipe.mem.busWidthBytes, 8u);
     EXPECT_TRUE(pipe.mem.pipelined);
@@ -238,7 +243,7 @@ TEST(ExperimentTest, MakeSweepConfigAppliesParameters)
     EXPECT_EQ(pipe.fetch.offchipPolicy, OffchipPolicy::GuaranteedOnly);
     EXPECT_EQ(pipe.fetch.cacheBytes, 64u);
 
-    const SimConfig conv = makeSweepConfig(spec, "conv", 64);
+    const SimConfig conv = *makeValidSweepConfig(spec, "conv", 64);
     EXPECT_EQ(conv.fetch.strategy, FetchStrategy::Conventional);
 }
 
@@ -272,7 +277,7 @@ TEST(ExperimentTest, TimingsFollowEnumerationOrder)
     EXPECT_EQ(r.timings[2].strategy, "32-32");
     EXPECT_EQ(r.timings[2].cacheBytes, 32u);
     for (const auto &t : r.timings) {
-        EXPECT_EQ(t.attempts, 1u);
+        EXPECT_FALSE(t.served);
         EXPECT_GT(t.wallNs, 0u);
     }
 }
@@ -314,11 +319,11 @@ TEST(ExperimentTest, ObservabilityPreservesDeterminism)
             keys.insert(e.name);
         return keys;
     };
-    using TimingKey = std::tuple<std::string, unsigned, unsigned>;
+    using TimingKey = std::tuple<std::string, unsigned, bool>;
     auto timingKeys = [](const SweepResult &r) {
         std::vector<TimingKey> keys;
         for (const auto &t : r.timings)
-            keys.emplace_back(t.strategy, t.cacheBytes, t.attempts);
+            keys.emplace_back(t.strategy, t.cacheBytes, t.served);
         return keys;
     };
 
@@ -379,7 +384,6 @@ TEST(ExperimentFaultIsolation, CollectAndContinueRendersErrCellOnly)
     ASSERT_EQ(r.failures.size(), 1u);
     EXPECT_EQ(r.failures[0].strategy, "8-8");
     EXPECT_EQ(r.failures[0].cacheBytes, 32u);
-    EXPECT_EQ(r.failures[0].attempts, 1u);
     EXPECT_NE(r.failures[0].message.find("injected failure"),
               std::string::npos);
     EXPECT_EQ(r.table.at(1, 2), "ERR");
@@ -389,25 +393,6 @@ TEST(ExperimentFaultIsolation, CollectAndContinueRendersErrCellOnly)
     for (std::size_t row = 0; row < 3; ++row)
         EXPECT_GT(std::stoull(r.table.at(row, 1)), 0u);
     EXPECT_NE(r.failureReport().find("8-8:32"), std::string::npos);
-}
-
-TEST(ExperimentFaultIsolation, RetryBudgetCountsAttempts)
-{
-    SweepSpec spec;
-    spec.cacheSizes = {16};
-    spec.strategies = {"conv"};
-    spec.failurePolicy = SweepFailurePolicy::CollectAndContinue;
-    spec.pointRetries = 2;
-    int runs = 0;
-    spec.postRun = [&runs](Simulator &, const std::string &, unsigned,
-                           const SimResult &) {
-        ++runs;
-        fatal("always fails");
-    };
-    const SweepResult r = runCacheSweep(spec, tinyBenchmark().program);
-    ASSERT_EQ(r.failures.size(), 1u);
-    EXPECT_EQ(r.failures[0].attempts, 3u); // 1 try + 2 retries
-    EXPECT_EQ(runs, 3);
 }
 
 TEST(ExperimentFaultIsolation, DeadlockedFaultPointReportsSnapshot)
@@ -463,28 +448,6 @@ TEST(ExperimentFaultIsolation, FailFastRethrowsTheSimAbort)
     }
 }
 
-TEST(ExperimentRetryBackoff, DeterministicSeededSchedule)
-{
-    // The back-off is a pure function of the point identity and the
-    // attempt number: no worker count, clock or RNG state leaks in.
-    EXPECT_EQ(retryBackoffNs("8-8", 32, 2, 10),
-              retryBackoffNs("8-8", 32, 2, 10));
-    // The first attempt (and a zero base) never sleeps.
-    EXPECT_EQ(retryBackoffNs("8-8", 32, 1, 10), 0u);
-    EXPECT_EQ(retryBackoffNs("8-8", 32, 2, 0), 0u);
-    // Exponential growth: every later attempt waits strictly longer
-    // than the doubled floor of the one before it.
-    const std::uint64_t baseNs = 10ull * 1'000'000;
-    for (unsigned a = 2; a <= 7; ++a) {
-        const std::uint64_t d = retryBackoffNs("8-8", 32, a, 10);
-        EXPECT_GE(d, baseNs << (a - 2));
-        EXPECT_LT(d, (baseNs << (a - 2)) + baseNs); // jitter < base
-    }
-    // The jitter separates distinct points' schedules.
-    EXPECT_NE(retryBackoffNs("8-8", 32, 2, 10),
-              retryBackoffNs("conv", 64, 2, 10));
-}
-
 // ---------------------------------------------------------------------
 // The crash-safe result store wired through the sweep.
 
@@ -505,9 +468,9 @@ TEST(ExperimentStore, WarmSweepIsServedEntirelyFromTheStore)
     EXPECT_EQ(warm.storeMisses, 0u);
     EXPECT_EQ(cold.table.toText(), warm.table.toText());
     EXPECT_EQ(cold.table.toCsv(), warm.table.toCsv());
-    // Served points never ran: attempts reads 0 in the timings.
+    // Served points never ran.
     for (const auto &t : warm.timings)
-        EXPECT_EQ(t.attempts, 0u);
+        EXPECT_TRUE(t.served);
 
     // The store-backed table matches a store-less sweep exactly.
     SweepSpec plain = spec;

@@ -31,7 +31,7 @@ cyclesAt(unsigned access, unsigned bus, bool pipelined,
     spec.mem.accessTime = access;
     spec.mem.busWidthBytes = bus;
     spec.mem.pipelined = pipelined;
-    const SimConfig cfg = makeSweepConfig(spec, strategy, cache);
+    const SimConfig cfg = *makeValidSweepConfig(spec, strategy, cache);
     return runSimulation(cfg, bench().program).totalCycles;
 }
 

@@ -296,15 +296,20 @@ TEST(StandardFlagsTest, CliRoundTrip)
 {
     CliParser cli("test");
     registerStandardFlags(cli);
-    const char *argv[] = {"tool",           "--engine",       "trace",
-                          "--sample-period", "5000",          "--jobs",
-                          "2",              "--point-retries", "1"};
-    ASSERT_TRUE(cli.parse(9, argv));
+    const char *argv[] = {"tool",           "--engine", "trace",
+                          "--sample-period", "5000",    "--jobs",
+                          "2"};
+    ASSERT_TRUE(cli.parse(7, argv));
     const StandardFlags f = standardFlagsFromCli(cli);
     EXPECT_EQ(f.engine, SweepEngine::Trace);
     EXPECT_EQ(f.samplePeriod, 5000u);
     EXPECT_EQ(f.jobs, 2u);
-    EXPECT_EQ(f.pointRetries, 1u);
+
+    // Sweep points are deterministic, so there is no retry option.
+    CliParser retries("test");
+    registerStandardFlags(retries);
+    const char *retryArgv[] = {"tool", "--point-retries", "1"};
+    EXPECT_THROW(retries.parse(3, retryArgv), FatalError);
 }
 
 TEST(StandardFlagsTest, BadEngineNameIsFatal)
