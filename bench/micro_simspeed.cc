@@ -6,10 +6,11 @@
  *
  * The probe-overhead pairs guard the observability layer's "free when
  * detached" property: BM_SimulatePipe/BM_SimulateConventional run
- * with every listener detached (cpiStack off) and must stay within a
- * few percent of the pre-probe-bus simulation rate;
- * BM_SimulatePipeCpiStack and BM_SimulatePipeTraced show what the
- * attached consumers cost.
+ * with no listener attached and the CPI-stack accounting off
+ * (cpiStack false) and must stay within a few percent of the
+ * pre-probe-bus simulation rate; BM_SimulatePipeCpiStack and
+ * BM_SimulatePipeTraced show what the accounting and an attached
+ * consumer cost.
  */
 
 #include <benchmark/benchmark.h>
@@ -49,7 +50,7 @@ BM_SimulatePipe(benchmark::State &state)
     SimConfig cfg;
     cfg.fetch = pipeConfigFor("16-16", 128);
     cfg.mem.accessTime = unsigned(state.range(0));
-    cfg.cpiStack = false; // raw rate: no probe listener attached
+    cfg.cpiStack = false; // raw rate: no accounting, no listener
     cfg.fault = g_flags.fault;
     std::uint64_t cycles = 0;
     for (auto _ : state) {
@@ -67,7 +68,7 @@ BM_SimulateConventional(benchmark::State &state)
     SimConfig cfg;
     cfg.fetch = conventionalConfigFor(128, 16);
     cfg.mem.accessTime = unsigned(state.range(0));
-    cfg.cpiStack = false; // raw rate: no probe listener attached
+    cfg.cpiStack = false; // raw rate: no accounting, no listener
     cfg.fault = g_flags.fault;
     std::uint64_t cycles = 0;
     for (auto _ : state) {
@@ -85,7 +86,7 @@ BM_SimulatePipeCpiStack(benchmark::State &state)
     SimConfig cfg;
     cfg.fetch = pipeConfigFor("16-16", 128);
     cfg.mem.accessTime = unsigned(state.range(0));
-    cfg.cpiStack = true; // the default: cycle accountant attached
+    cfg.cpiStack = true; // the default: cycle accounting on
     cfg.fault = g_flags.fault;
     std::uint64_t cycles = 0;
     for (auto _ : state) {

@@ -17,22 +17,6 @@ Histogram::Histogram(std::uint64_t bucket_width, unsigned num_buckets)
 }
 
 void
-Histogram::sample(std::uint64_t value)
-{
-    const std::size_t idx =
-        std::min<std::size_t>(value / _bucketWidth, _buckets.size() - 1);
-    ++_buckets[idx];
-    ++_count;
-    _sum += value;
-    if (_count == 1) {
-        _min = _max = value;
-    } else {
-        _min = std::min(_min, value);
-        _max = std::max(_max, value);
-    }
-}
-
-void
 Histogram::reset()
 {
     std::fill(_buckets.begin(), _buckets.end(), 0);

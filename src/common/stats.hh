@@ -13,6 +13,7 @@
 #ifndef PIPESIM_COMMON_STATS_HH
 #define PIPESIM_COMMON_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -52,7 +53,21 @@ class Histogram
     Histogram(std::uint64_t bucket_width = 1, unsigned num_buckets = 16);
 
     /** Record one sample. */
-    void sample(std::uint64_t value);
+    void
+    sample(std::uint64_t value)
+    {
+        const std::size_t idx = std::min<std::size_t>(
+            value / _bucketWidth, _buckets.size() - 1);
+        ++_buckets[idx];
+        ++_count;
+        _sum += value;
+        if (_count == 1) {
+            _min = _max = value;
+        } else {
+            _min = std::min(_min, value);
+            _max = std::max(_max, value);
+        }
+    }
 
     void reset();
 

@@ -83,38 +83,32 @@ ConventionalFetchUnit::makeRequest(Addr addr, ReqClass cls)
     req.bytes = _busRegionBytes;
     req.isStore = false;
     req.cls = cls;
-    bindRequestCallbacks(req);
     return req;
 }
 
 void
-ConventionalFetchUnit::bindRequestCallbacks(MemRequest &req)
+ConventionalFetchUnit::fillComplete(const MemRequest &)
 {
-    req.onBeat = [this](Addr a, unsigned n) { onBeatArrived(a, n); };
-    req.onComplete = [this]() {
-        if (_probes && _probes->fetchFill.active()) {
-            _probes->fetchFill.notify(obs::FetchEvent{
-                _obsNow, _outstandingAddr, _outstandingBytes, false});
-        }
-        _outstanding = false;
-        noteGoodFill();
-    };
-    req.onParityError = [this]() {
-        // No beats were delivered, so the region's sub-blocks are
-        // still invalid; the demand/prefetch paths simply re-request.
-        _outstanding = false;
-        noteParityError(_outstandingAddr, _outstandingBytes);
-    };
+    if (_probes && _probes->fetchFill.active()) {
+        _probes->fetchFill.notify(obs::FetchEvent{
+            _obsNow, _outstandingAddr, _outstandingBytes, false});
+    }
+    _outstanding = false;
+    noteGoodFill();
 }
 
 void
-ConventionalFetchUnit::rebindRequest(MemRequest &req)
+ConventionalFetchUnit::fillParityError(const MemRequest &)
 {
-    bindRequestCallbacks(req);
+    // No beats were delivered, so the region's sub-blocks are still
+    // invalid; the demand/prefetch paths simply re-request.
+    _outstanding = false;
+    noteParityError(_outstandingAddr, _outstandingBytes);
 }
 
 void
-ConventionalFetchUnit::onBeatArrived(Addr addr, unsigned bytes)
+ConventionalFetchUnit::fillBeat(const MemRequest &, Addr addr,
+                                unsigned bytes)
 {
     // The line was allocated when the request was made and no other
     // allocation can intervene (single outstanding request), except a
@@ -199,7 +193,7 @@ ConventionalFetchUnit::take()
 {
     PIPESIM_ASSERT(instructionReady(), "take() with nothing ready");
     const Addr pc = *_follower.nextAddr();
-    const isa::Instruction inst = decodeAt(pc);
+    const isa::Instruction &inst = decodeAt(pc);
     _cache.recordLookup(true);
     if (_probes && _probes->icacheAccess.active())
         _probes->icacheAccess.notify(obs::CacheEvent{_obsNow, pc, true});
@@ -218,12 +212,10 @@ ConventionalFetchUnit::branchResolved(bool taken, Addr target)
     _follower.resolved(taken, target);
 }
 
-std::optional<MemRequest>
+const MemRequest *
 ConventionalFetchUnit::peekOffchip(ReqClass cls)
 {
-    if (_want && _want->cls == cls)
-        return _want;
-    return std::nullopt;
+    return _want && _want->cls == cls ? &*_want : nullptr;
 }
 
 void
@@ -298,11 +290,8 @@ ConventionalFetchUnit::restoreState(StateReader &r)
     _follower.restoreState(r);
     _cache.restoreState(r);
     _want.reset();
-    if (r.b()) {
-        MemRequest req = restoreMemRequest(r);
-        bindRequestCallbacks(req);
-        _want = std::move(req);
-    }
+    if (r.b())
+        _want = restoreMemRequest(r);
     _outstanding = r.b();
     _outstandingAddr = r.u32();
     _outstandingBytes = r.u32();

@@ -51,13 +51,15 @@ class ConventionalFetchUnit : public FetchUnit
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
     void restoreState(StateReader &r) override;
-    void rebindRequest(MemRequest &req) override;
 
     const SubblockCache &cache() const { return _cache; }
 
   protected:
-    std::optional<MemRequest> peekOffchip(ReqClass cls) override;
+    const MemRequest *peekOffchip(ReqClass cls) override;
     void offchipAccepted() override;
+    void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
+    void fillComplete(const MemRequest &req) override;
+    void fillParityError(const MemRequest &req) override;
 
   private:
     /** First sub-block of [addr, addr+bytes) missing from the cache. */
@@ -68,11 +70,6 @@ class ConventionalFetchUnit : public FetchUnit
 
     /** True if the outstanding request will fill @p addr's sub-block. */
     bool inflightCovers(Addr addr) const;
-
-    void onBeatArrived(Addr addr, unsigned bytes);
-
-    /** Attach the fill callbacks to @p req (creation and rebind). */
-    void bindRequestCallbacks(MemRequest &req);
 
     FetchConfig _cfg;
     SubblockCache _cache;

@@ -3,12 +3,16 @@
 #include <sstream>
 
 #include "common/abort.hh"
+#include "isa/decode.hh"
 
 namespace pipesim
 {
 
 FetchUnit::FetchUnit(const Program &program, MemorySystem &mem)
-    : _program(program), _mem(mem),
+    : _program(program),
+      _decoded(program.codeSize() / parcelBytes,
+               isa::Instruction{.parcels = 0}),
+      _pastEnd(isa::decode(0, 0, program.mode())), _mem(mem),
       _demandPort(*this, ReqClass::IFetchDemand),
       _prefetchPort(*this, ReqClass::IPrefetch)
 {
@@ -20,23 +24,6 @@ FetchUnit::~FetchUnit()
 {
     _mem.setDemandClient(nullptr);
     _mem.setPrefetchClient(nullptr);
-}
-
-isa::Instruction
-FetchUnit::decodeAt(Addr addr) const
-{
-    if (auto inst = _program.decodeAt(addr))
-        return *inst;
-    // Past the program image: decode the zero parcel (an ALU no-op).
-    // The simulation halts before such instructions ever issue; they
-    // only exist so prefetch lookahead can run off the end of code.
-    return isa::decode(0, 0, _program.mode());
-}
-
-unsigned
-FetchUnit::instSizeAt(Addr addr) const
-{
-    return decodeAt(addr).sizeBytes();
 }
 
 void

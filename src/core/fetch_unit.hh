@@ -14,10 +14,11 @@
 #define PIPESIM_CORE_FETCH_UNIT_HH
 
 #include <iosfwd>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "assembler/program.hh"
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/instruction.hh"
@@ -123,18 +124,9 @@ class FetchUnit
 
     /**
      * Restore state saved by saveState() on a unit built from the
-     * same FetchConfig and Program; re-binds the callbacks of any
-     * pending request the unit holds.
+     * same FetchConfig and Program.
      */
     virtual void restoreState(StateReader &r) = 0;
-
-    /**
-     * Re-attach this unit's callbacks to an in-flight instruction
-     * fill restored by MemorySystem::restoreState (the request's
-     * address identifies the fill; the unit's restored fill state
-     * must agree with it).
-     */
-    virtual void rebindRequest(MemRequest &req) = 0;
 
     /**
      * Attach the probe bus the unit emits into: icacheAccess on every
@@ -146,8 +138,10 @@ class FetchUnit
 
   protected:
     /**
-     * MemClient adapter: routes the memory system's pull requests to
-     * the owning unit, filtered by request class.
+     * MemClient adapter: routes the memory system's pull requests of
+     * one class to the owning unit, and that class's responses back.
+     * The unit owns both instruction ports, so fills of either class
+     * return to it.
      */
     class ClientPort : public MemClient
     {
@@ -157,7 +151,7 @@ class FetchUnit
         {
         }
 
-        std::optional<MemRequest>
+        const MemRequest *
         peek() override
         {
             return _unit.peekOffchip(_cls);
@@ -165,22 +159,74 @@ class FetchUnit
 
         void accepted() override { _unit.offchipAccepted(); }
 
+        void
+        beat(const MemRequest &req, Addr addr, unsigned bytes) override
+        {
+            _unit.fillBeat(req, addr, bytes);
+        }
+
+        void
+        complete(const MemRequest &req) override
+        {
+            _unit.fillComplete(req);
+        }
+
+        void
+        parityError(const MemRequest &req) override
+        {
+            _unit.fillParityError(req);
+        }
+
       private:
         FetchUnit &_unit;
         ReqClass _cls;
     };
 
-    /** The unit's candidate off-chip request of class @p cls. */
-    virtual std::optional<MemRequest> peekOffchip(ReqClass cls) = 0;
+    /** The unit's candidate off-chip request of class @p cls, or
+     *  nullptr (points into the unit; see MemClient::peek). */
+    virtual const MemRequest *peekOffchip(ReqClass cls) = 0;
 
     /** The candidate request was accepted on the output bus. */
     virtual void offchipAccepted() = 0;
 
-    /** Decode the instruction at @p addr from the program image. */
-    isa::Instruction decodeAt(Addr addr) const;
+    /** One input-bus beat of the in-flight fill @p req. */
+    virtual void fillBeat(const MemRequest &req, Addr addr,
+                          unsigned bytes) = 0;
+
+    /** The in-flight fill @p req delivered its last beat. */
+    virtual void fillComplete(const MemRequest &req) = 0;
+
+    /**
+     * The in-flight fill @p req was corrupted (see
+     * MemClient::parityError): roll back the fill state so the fetch
+     * is retried, then call noteParityError().
+     */
+    virtual void fillParityError(const MemRequest &req) = 0;
+
+    /**
+     * The instruction at @p addr, decoded from the program image the
+     * first time it is asked for.  The reference stays valid for the
+     * unit's lifetime.
+     */
+    const isa::Instruction &
+    decodeAt(Addr addr) const
+    {
+        if (!_program.inCode(addr))
+            return _pastEnd;
+        const Addr off = addr - _program.codeBase();
+        PIPESIM_ASSERT(off % parcelBytes == 0, "unaligned parcel address ",
+                       addr);
+        isa::Instruction &inst = _decoded[off / parcelBytes];
+        if (inst.parcels == 0)
+            inst = *_program.decodeAt(addr);
+        return inst;
+    }
 
     /** Byte size of the instruction at @p addr. */
-    unsigned instSizeAt(Addr addr) const;
+    unsigned instSizeAt(Addr addr) const
+    {
+        return decodeAt(addr).sizeBytes();
+    }
 
     /**
      * An instruction fill ended in an injected parity error.  The
@@ -215,6 +261,23 @@ class FetchUnit
     }
 
     const Program &_program;
+
+    /**
+     * Decoded instructions of the code image, one slot per parcel,
+     * filled lazily: a slot inside a two-parcel instruction is never
+     * a valid decode, so the table cannot be built eagerly.  A slot
+     * with zero parcels is not decoded yet.
+     */
+    mutable std::vector<isa::Instruction> _decoded;
+
+    /**
+     * What decodeAt() returns past the program image: the zero parcel
+     * (an ALU no-op).  The simulation halts before such instructions
+     * ever issue; they only exist so prefetch lookahead can run off
+     * the end of code.
+     */
+    isa::Instruction _pastEnd;
+
     MemorySystem &_mem;
     ClientPort _demandPort;
     ClientPort _prefetchPort;
@@ -224,8 +287,8 @@ class FetchUnit
     unsigned _consecutiveParityErrors = 0;
     Counter _parityRetries;
     /**
-     * Cycle of the most recent tick().  Acceptance and fill callbacks
-     * fire from the memory system's tick, which runs after the fetch
+     * Cycle of the most recent tick().  Acceptances and fill responses
+     * arrive from the memory system's tick, which runs after the fetch
      * tick in the same cycle, so stamping events with this is exact.
      */
     Cycle _obsNow = 0;

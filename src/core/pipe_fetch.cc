@@ -205,7 +205,7 @@ PipeFetchUnit::fillGuaranteed(Addr fill_start, bool new_segment) const
             cursor = seg.start; // stream resumes at a redirect target
         }
         while (cursor < seg.start + seg.len) {
-            const isa::Instruction inst = decodeAt(cursor);
+            const isa::Instruction &inst = decodeAt(cursor);
             if (cursor + inst.sizeBytes() > seg.start + seg.len) {
                 // The visible window ends mid-instruction; no PBR was
                 // seen, so the next line is guaranteed (paper 4.2).
@@ -281,39 +281,26 @@ PipeFetchUnit::startFillIfNeeded()
         ++_offchipDemandLines;
     else
         ++_offchipPrefetchLines;
-    bindFillCallbacks(req);
-    _want = std::move(req);
+    _want = req;
 }
 
 void
-PipeFetchUnit::bindFillCallbacks(MemRequest &req)
+PipeFetchUnit::fillParityError(const MemRequest &)
 {
-    req.onBeat = [this](Addr addr, unsigned bytes) {
-        onBeatArrived(addr, bytes);
-    };
-    req.onComplete = [this]() { onFillComplete(); };
-    req.onParityError = [this]() {
-        // A corrupted transfer delivered no beats, so nothing was
-        // appended and the allocated line is still invalid: dropping
-        // the fill makes the next tick re-plan and re-request it.
-        PIPESIM_ASSERT(_fill && _fill->offchip,
-                       "parity error with no off-chip fill active");
-        const Addr line = _fill->lineBase;
-        const bool dead = _fill->dead;
-        if (_fill->newSegment && _follower.hasPending() &&
-            _follower.frontId() == _targetPlannedId)
-            _targetPlannedId = std::uint64_t(-1);
-        _offchipInFlight = false;
-        _fill.reset();
-        if (!dead)
-            noteParityError(line, _cfg.lineBytes);
-    };
-}
-
-void
-PipeFetchUnit::rebindRequest(MemRequest &req)
-{
-    bindFillCallbacks(req);
+    // A corrupted transfer delivered no beats, so nothing was
+    // appended and the allocated line is still invalid: dropping the
+    // fill makes the next tick re-plan and re-request it.
+    PIPESIM_ASSERT(_fill && _fill->offchip,
+                   "parity error with no off-chip fill active");
+    const Addr line = _fill->lineBase;
+    const bool dead = _fill->dead;
+    if (_fill->newSegment && _follower.hasPending() &&
+        _follower.frontId() == _targetPlannedId)
+        _targetPlannedId = std::uint64_t(-1);
+    _offchipInFlight = false;
+    _fill.reset();
+    if (!dead)
+        noteParityError(line, _cfg.lineBytes);
 }
 
 void
@@ -333,7 +320,7 @@ PipeFetchUnit::performCacheFill()
 }
 
 void
-PipeFetchUnit::onBeatArrived(Addr addr, unsigned bytes)
+PipeFetchUnit::fillBeat(const MemRequest &, Addr addr, unsigned bytes)
 {
     PIPESIM_ASSERT(_fill && _fill->offchip,
                    "beat arrived with no off-chip fill active");
@@ -354,7 +341,7 @@ PipeFetchUnit::onBeatArrived(Addr addr, unsigned bytes)
 }
 
 void
-PipeFetchUnit::onFillComplete()
+PipeFetchUnit::fillComplete(const MemRequest &)
 {
     if (_probes && _probes->fetchFill.active() && _fill) {
         _probes->fetchFill.notify(obs::FetchEvent{
@@ -365,12 +352,10 @@ PipeFetchUnit::onFillComplete()
     noteGoodFill();
 }
 
-std::optional<MemRequest>
+const MemRequest *
 PipeFetchUnit::peekOffchip(ReqClass cls)
 {
-    if (_want && _want->cls == cls)
-        return _want;
-    return std::nullopt;
+    return _want && _want->cls == cls ? &*_want : nullptr;
 }
 
 void
@@ -419,7 +404,7 @@ PipeFetchUnit::take()
 {
     PIPESIM_ASSERT(instructionReady(), "take() with nothing ready");
     const Addr pc = *_follower.nextAddr();
-    const isa::Instruction inst = decodeAt(pc);
+    const isa::Instruction &inst = decodeAt(pc);
     Segment &head = _buffer.front();
     head.start += inst.sizeBytes();
     head.len -= inst.sizeBytes();
@@ -526,11 +511,8 @@ PipeFetchUnit::restoreState(StateReader &r)
         _fill = f;
     }
     _want.reset();
-    if (r.b()) {
-        MemRequest req = restoreMemRequest(r);
-        bindFillCallbacks(req);
-        _want = std::move(req);
-    }
+    if (r.b())
+        _want = restoreMemRequest(r);
     _offchipInFlight = r.b();
     _squashDoneId = r.u64();
     _targetPlannedId = r.u64();

@@ -60,7 +60,6 @@ class PipeFetchUnit : public FetchUnit
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
     void restoreState(StateReader &r) override;
-    void rebindRequest(MemRequest &req) override;
 
     const InstructionCache &cache() const { return _cache; }
 
@@ -68,8 +67,11 @@ class PipeFetchUnit : public FetchUnit
     unsigned bufferedBytes() const { return _occupancy; }
 
   protected:
-    std::optional<MemRequest> peekOffchip(ReqClass cls) override;
+    const MemRequest *peekOffchip(ReqClass cls) override;
     void offchipAccepted() override;
+    void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
+    void fillComplete(const MemRequest &req) override;
+    void fillParityError(const MemRequest &req) override;
 
   private:
     /** A contiguous run of buffered stream bytes. */
@@ -118,12 +120,6 @@ class PipeFetchUnit : public FetchUnit
 
     /** True if the decoder is starving for bytes at nextAddr(). */
     bool decoderStarving() const;
-
-    void onBeatArrived(Addr addr, unsigned bytes);
-    void onFillComplete();
-
-    /** Attach the fill callbacks to @p req (creation and rebind). */
-    void bindFillCallbacks(MemRequest &req);
 
     FetchConfig _cfg;
     InstructionCache _cache;

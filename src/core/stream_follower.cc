@@ -12,14 +12,6 @@ StreamFollower::reset(Addr entry)
     _pending.clear();
 }
 
-std::optional<Addr>
-StreamFollower::nextAddr() const
-{
-    if (!_pending.empty() && _pending.front().slotsLeft == 0)
-        return std::nullopt; // at the redirect point, unresolved
-    return _next;
-}
-
 void
 StreamFollower::delivered(const isa::Instruction &inst)
 {

@@ -38,7 +38,13 @@ class StreamFollower
      * Address of the next instruction to deliver, or nullopt when
      * delivery is blocked at an unresolved redirect point.
      */
-    std::optional<Addr> nextAddr() const;
+    std::optional<Addr>
+    nextAddr() const
+    {
+        if (!_pending.empty() && _pending.front().slotsLeft == 0)
+            return std::nullopt; // at the redirect point, unresolved
+        return _next;
+    }
 
     /** @return true if delivery is blocked awaiting a resolution. */
     bool blocked() const { return !nextAddr().has_value(); }

@@ -224,59 +224,46 @@ TibFetchUnit::startFetchIfNeeded()
     req.isStore = false;
     const bool demand = decoderStarving() || _buffer.empty();
     req.cls = demand ? ReqClass::IFetchDemand : ReqClass::IPrefetch;
-    bindFetchCallbacks(req);
-    _want = std::move(req);
+    _want = req;
     ++_offchipFetches;
 }
 
 void
-TibFetchUnit::bindFetchCallbacks(MemRequest &req)
+TibFetchUnit::fillComplete(const MemRequest &req)
 {
-    // The fetch's base address identifies it in the callbacks; taking
-    // it from the request (rather than a captured local) lets restored
-    // in-flight requests re-bind with identical behaviour.
-    const Addr start = req.addr;
-    req.onBeat = [this](Addr addr, unsigned bytes) {
-        onBeatArrived(addr, bytes);
-    };
-    req.onComplete = [this, start]() {
-        if (_probes && _probes->fetchFill.active())
-            _probes->fetchFill.notify(
-                obs::FetchEvent{_obsNow, start, _entryBytes, false});
-        _offchipInFlight = false;
-        _fetch.reset();
-        noteGoodFill();
-    };
-    req.onParityError = [this, start]() {
-        // Nothing was appended (no beats); undo the planning side
-        // effects so the next tick re-plans the identical fetch.  A
-        // TIB-miss fetch popped its pending target and left the entry
-        // with zero valid bytes -- restoring the target makes the
-        // retry take the same miss path and refill the entry.
-        PIPESIM_ASSERT(_fetch, "parity error with no fetch active");
-        const bool dead = _fetch->dead;
-        const bool retargeted = _fetch->retargeted;
-        const bool was_tib = _fetch->fillTibTarget.has_value();
-        _offchipInFlight = false;
-        _fetch.reset();
-        if (dead)
-            return;
-        if (retargeted)
-            _targetPlannedId = std::uint64_t(-1);
-        if (was_tib)
-            _pendingTargets.push_front(start);
-        noteParityError(start, _entryBytes);
-    };
+    if (_probes && _probes->fetchFill.active())
+        _probes->fetchFill.notify(
+            obs::FetchEvent{_obsNow, req.addr, _entryBytes, false});
+    _offchipInFlight = false;
+    _fetch.reset();
+    noteGoodFill();
 }
 
 void
-TibFetchUnit::rebindRequest(MemRequest &req)
+TibFetchUnit::fillParityError(const MemRequest &req)
 {
-    bindFetchCallbacks(req);
+    // Nothing was appended (no beats); undo the planning side effects
+    // so the next tick re-plans the identical fetch.  A TIB-miss fetch
+    // popped its pending target and left the entry with zero valid
+    // bytes -- restoring the target makes the retry take the same
+    // miss path and refill the entry.
+    PIPESIM_ASSERT(_fetch, "parity error with no fetch active");
+    const bool dead = _fetch->dead;
+    const bool retargeted = _fetch->retargeted;
+    const bool was_tib = _fetch->fillTibTarget.has_value();
+    _offchipInFlight = false;
+    _fetch.reset();
+    if (dead)
+        return;
+    if (retargeted)
+        _targetPlannedId = std::uint64_t(-1);
+    if (was_tib)
+        _pendingTargets.push_front(req.addr);
+    noteParityError(req.addr, _entryBytes);
 }
 
 void
-TibFetchUnit::onBeatArrived(Addr addr, unsigned bytes)
+TibFetchUnit::fillBeat(const MemRequest &, Addr addr, unsigned bytes)
 {
     PIPESIM_ASSERT(_fetch, "beat with no fetch active");
     if (_fetch->fillTibTarget) {
@@ -298,12 +285,10 @@ TibFetchUnit::onBeatArrived(Addr addr, unsigned bytes)
     _fetch->nextByte = hi;
 }
 
-std::optional<MemRequest>
+const MemRequest *
 TibFetchUnit::peekOffchip(ReqClass cls)
 {
-    if (_want && _want->cls == cls)
-        return _want;
-    return std::nullopt;
+    return _want && _want->cls == cls ? &*_want : nullptr;
 }
 
 void
@@ -349,7 +334,7 @@ TibFetchUnit::take()
 {
     PIPESIM_ASSERT(instructionReady(), "take() with nothing ready");
     const Addr pc = *_follower.nextAddr();
-    const isa::Instruction inst = decodeAt(pc);
+    const isa::Instruction &inst = decodeAt(pc);
     Segment &head = _buffer.front();
     head.start += inst.sizeBytes();
     head.len -= inst.sizeBytes();
@@ -470,11 +455,8 @@ TibFetchUnit::restoreState(StateReader &r)
         _fetch = f;
     }
     _want.reset();
-    if (r.b()) {
-        MemRequest req = restoreMemRequest(r);
-        bindFetchCallbacks(req);
-        _want = std::move(req);
-    }
+    if (r.b())
+        _want = restoreMemRequest(r);
     _offchipInFlight = r.b();
     _squashDoneId = r.u64();
     _targetPlannedId = r.u64();

@@ -59,14 +59,16 @@ class TibFetchUnit : public FetchUnit
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
     void restoreState(StateReader &r) override;
-    void rebindRequest(MemRequest &req) override;
 
     unsigned numEntries() const { return unsigned(_entries.size()); }
     unsigned entryBytes() const { return _entryBytes; }
 
   protected:
-    std::optional<MemRequest> peekOffchip(ReqClass cls) override;
+    const MemRequest *peekOffchip(ReqClass cls) override;
     void offchipAccepted() override;
+    void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
+    void fillComplete(const MemRequest &req) override;
+    void fillParityError(const MemRequest &req) override;
 
   private:
     struct TibEntry
@@ -92,11 +94,6 @@ class TibFetchUnit : public FetchUnit
     Addr tailEnd() const;
     Addr staticWalk(Addr addr, unsigned n) const;
     bool decoderStarving() const;
-
-    void onBeatArrived(Addr addr, unsigned bytes);
-
-    /** Attach the fetch callbacks to @p req (creation and rebind). */
-    void bindFetchCallbacks(MemRequest &req);
 
     FetchConfig _cfg;
     StreamFollower _follower;

@@ -1,5 +1,6 @@
 #include "cpu/pipeline.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "common/log.hh"
@@ -18,6 +19,8 @@ Pipeline::Pipeline(const PipelineConfig &config, FetchUnit &fetch,
               config.sdqEntries)
 {
     _mem.setDataClient(&_dataPort);
+    _loadReq.bytes = _storeReq.bytes = wordBytes;
+    _storeReq.isStore = true;
 }
 
 Pipeline::~Pipeline()
@@ -32,7 +35,7 @@ Pipeline::drained() const
            _queues.sdq().empty() && _loadsIssued == _loadsDelivered;
 }
 
-std::optional<MemRequest>
+const MemRequest *
 Pipeline::peekDataOp()
 {
     const auto &laq = _queues.laq();
@@ -40,7 +43,7 @@ Pipeline::peekDataOp()
     const bool have_load = !laq.empty();
     const bool have_store = !saq.empty();
     if (!have_load && !have_store)
-        return std::nullopt;
+        return nullptr;
 
     bool pick_load;
     if (have_load && have_store)
@@ -48,29 +51,18 @@ Pipeline::peekDataOp()
     else
         pick_load = have_load;
 
-    MemRequest req;
-    req.cls = ReqClass::Data;
-    req.bytes = wordBytes;
     if (pick_load) {
-        req.addr = laq.front().addr;
-        req.isStore = false;
-        req.dataSeq = _loadsAccepted;
-        req.onData = [this](Word value) {
-            PIPESIM_ASSERT(!_queues.ldq().full(),
-                           "LDQ overflow: reservation logic broken");
-            _queues.ldq().push(value);
-            ++_loadsDelivered;
-        };
-    } else {
-        // A store needs its data; program order blocks behind it
-        // until the SDQ entry is produced.
-        if (_queues.sdq().empty())
-            return std::nullopt;
-        req.addr = saq.front().addr;
-        req.isStore = true;
-        req.storeData = _queues.sdq().front();
+        _loadReq.addr = laq.front().addr;
+        _loadReq.dataSeq = _loadsAccepted;
+        return &_loadReq;
     }
-    return req;
+    // A store needs its data; program order blocks behind it until
+    // the SDQ entry is produced.
+    if (_queues.sdq().empty())
+        return nullptr;
+    _storeReq.addr = saq.front().addr;
+    _storeReq.storeData = _queues.sdq().front();
+    return &_storeReq;
 }
 
 void
@@ -96,7 +88,7 @@ Pipeline::dataOpAccepted()
     }
 }
 
-std::optional<MemRequest>
+const MemRequest *
 Pipeline::DataPort::peek()
 {
     return _owner.peekDataOp();
@@ -106,6 +98,27 @@ void
 Pipeline::DataPort::accepted()
 {
     _owner.dataOpAccepted();
+}
+
+void
+Pipeline::DataPort::loadData(const MemRequest &, Word value)
+{
+    PIPESIM_ASSERT(!_owner._queues.ldq().full(),
+                   "LDQ overflow: reservation logic broken");
+    _owner._queues.ldq().push(value);
+    ++_owner._loadsDelivered;
+}
+
+std::vector<Addr>
+Pipeline::recentRetiredPcs() const
+{
+    const std::uint64_t count = _retired.value();
+    const std::uint64_t n =
+        std::min<std::uint64_t>(count, _retiredPcs.size());
+    std::vector<Addr> pcs;
+    for (std::uint64_t i = count - n; i < count; ++i)
+        pcs.push_back(_retiredPcs[i % _retiredPcs.size()]);
+    return pcs;
 }
 
 Pipeline::StallReason
@@ -289,6 +302,8 @@ Pipeline::tick(Cycle now)
         switch (hazard) {
           case StallReason::None:
             execute(*_issueLatch, now);
+            _retiredPcs[_retired.value() % _retiredPcs.size()] =
+                _issueLatch->pc;
             ++_retired;
             cls = _halted ? obs::CycleClass::Drain
                           : obs::CycleClass::Issue;
@@ -341,7 +356,9 @@ Pipeline::tick(Cycle now)
             ++_fetchStarveCycles;
     }
 
-    if (_probes)
+    if (_cpiStack)
+        _cpiStack->account(cls, _mem.demandFetchContended());
+    if (_probes && _probes->cycleClass.active())
         _probes->cycleClass.notify(obs::CycleClassEvent{now, cls});
 }
 

@@ -30,8 +30,10 @@
 #ifndef PIPESIM_CPU_PIPELINE_HH
 #define PIPESIM_CPU_PIPELINE_HH
 
+#include <array>
 #include <iosfwd>
 #include <optional>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -39,6 +41,7 @@
 #include "cpu/regfile.hh"
 #include "isa/instruction.hh"
 #include "mem/memory_system.hh"
+#include "obs/cpi_stack.hh"
 #include "obs/probe.hh"
 #include "queue/arch_queues.hh"
 
@@ -90,19 +93,33 @@ class Pipeline
      */
     void setProbes(obs::ProbeBus *probes) { _probes = probes; }
 
+    /**
+     * Feed @p stack one CycleClass per tick, at the end of tick(),
+     * with the memory system's demand-fetch contention flag for the
+     * same cycle.  Pass nullptr to stop accounting.
+     */
+    void setCpiStack(obs::CpiStack *stack) { _cpiStack = stack; }
+
+    /** PCs of the most recently issued instructions, oldest first. */
+    std::vector<Addr> recentRetiredPcs() const;
+
     /** Write the pipeline state (forensic snapshots). */
     void dumpState(std::ostream &os) const;
 
     void regStats(StatGroup &stats, const std::string &prefix);
 
   private:
-    /** MemClient presenting LAQ/SAQ traffic in program order. */
+    /**
+     * MemClient presenting LAQ/SAQ traffic in program order; load
+     * data returns through it into the LDQ.
+     */
     class DataPort : public MemClient
     {
       public:
         explicit DataPort(Pipeline &owner) : _owner(owner) {}
-        std::optional<MemRequest> peek() override;
+        const MemRequest *peek() override;
         void accepted() override;
+        void loadData(const MemRequest &req, Word value) override;
 
       private:
         Pipeline &_owner;
@@ -124,7 +141,7 @@ class Pipeline
     void execute(const isa::FetchedInst &fi, Cycle now);
     Word readSource(unsigned r);
 
-    std::optional<MemRequest> peekDataOp();
+    const MemRequest *peekDataOp();
     void dataOpAccepted();
 
     PipelineConfig _cfg;
@@ -162,9 +179,17 @@ class Pipeline
     };
     ExecAnnotation _execNote;
 
+    /** The data port's candidates, refreshed by every peek. */
+    MemRequest _loadReq;
+    MemRequest _storeReq;
+
     bool _halted = false;
     Cycle _haltCycle = 0;
     obs::ProbeBus *_probes = nullptr;
+    obs::CpiStack *_cpiStack = nullptr;
+
+    /** Ring of recently issued PCs (forensic snapshots). */
+    std::array<Addr, 16> _retiredPcs{};
 
     std::uint64_t _memOpSeq = 0;     //!< program order of ld/st ops
     std::uint64_t _loadsAccepted = 0; //!< loads sent to memory
@@ -179,7 +204,6 @@ class Pipeline
     Counter _issueStallLdqReserved;
     Counter _issueStallSaqFull;
     Counter _fetchStarveCycles;
-    Counter _branchBlockCycles;
     Counter _loads;
     Counter _stores;
     Counter _pbrTaken;

@@ -14,7 +14,7 @@
  *  - corruptFill():    corrupt an instruction-fill transfer (a fill
  *    parity error).  The corrupted beats never reach the cache or
  *    the decoder; the fetch unit is told via
- *    MemRequest::onParityError and retries the fill up to
+ *    MemClient::parityError and retries the fill up to
  *    FetchConfig::parityRetryLimit times before raising SimAbort.
  *
  * Decisions are a pure function of (seed, call sequence), and the

@@ -5,22 +5,6 @@
 namespace pipesim::isa
 {
 
-std::vector<std::uint8_t>
-Instruction::srcRegs() const
-{
-    const OpcodeInfo &info = opcodeInfo(op);
-    std::vector<std::uint8_t> regs;
-    if (info.hasRs1)
-        regs.push_back(rs1);
-    if (info.hasRs2)
-        regs.push_back(rs2);
-    // PBR reads the condition register unless the branch is
-    // unconditional.
-    if (op == Opcode::Pbr && cond != Cond::Always)
-        regs.push_back(rs1);
-    return regs;
-}
-
 bool
 Instruction::writesReg(std::uint8_t r) const
 {

@@ -7,14 +7,26 @@
 #ifndef PIPESIM_ISA_INSTRUCTION_HH
 #define PIPESIM_ISA_INSTRUCTION_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "isa/opcodes.hh"
 
 namespace pipesim::isa
 {
+
+/** At most three source registers, held in place (no allocation). */
+struct RegList
+{
+    std::array<std::uint8_t, 3> regs{};
+    std::uint8_t count = 0;
+
+    void push_back(std::uint8_t r) { regs[count++] = r; }
+    const std::uint8_t *begin() const { return regs.data(); }
+    const std::uint8_t *end() const { return regs.data() + count; }
+    std::size_t size() const { return count; }
+};
 
 /**
  * A fully decoded PIPE instruction.
@@ -46,7 +58,21 @@ struct Instruction
      * values are consumed.  Order matters for r7: each appearance
      * pops one Load Data Queue entry.
      */
-    std::vector<std::uint8_t> srcRegs() const;
+    RegList
+    srcRegs() const
+    {
+        const OpcodeInfo &info = opcodeInfo(op);
+        RegList regs;
+        if (info.hasRs1)
+            regs.push_back(rs1);
+        if (info.hasRs2)
+            regs.push_back(rs2);
+        // PBR reads the condition register unless the branch is
+        // unconditional.
+        if (op == Opcode::Pbr && cond != Cond::Always)
+            regs.push_back(rs1);
+        return regs;
+    }
 
     /** @return true if this instruction writes data register @p r. */
     bool writesReg(std::uint8_t r) const;

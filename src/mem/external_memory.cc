@@ -22,7 +22,7 @@ ExternalMemory::canAccept() const
 }
 
 void
-ExternalMemory::accept(MemRequest req, Cycle now)
+ExternalMemory::accept(const MemRequest &req, Cycle now)
 {
     PIPESIM_ASSERT(canAccept(), "request accepted while memory busy");
     if (req.isStore)
@@ -31,7 +31,7 @@ ExternalMemory::accept(MemRequest req, Cycle now)
         ++_reads;
     // extraLatency is the injected response jitter (0 normally).
     const Cycle ready = now + _accessTime + req.extraLatency;
-    _inflight.push_back(InFlight{std::move(req), ready});
+    _inflight.push_back(InFlight{req, ready});
 }
 
 void
@@ -40,30 +40,25 @@ ExternalMemory::tick(Cycle now)
     if (!_inflight.empty())
         ++_busyCycles;
     while (!_inflight.empty() && _inflight.front().req.isStore &&
-           _inflight.front().readyAt <= now) {
-        auto req = std::move(_inflight.front().req);
+           _inflight.front().readyAt <= now)
         _inflight.pop_front();
-        if (req.onComplete)
-            req.onComplete();
-    }
 }
 
-std::optional<MemRequest>
+const MemRequest *
 ExternalMemory::peekReady(Cycle now) const
 {
     if (_inflight.empty())
-        return std::nullopt;
+        return nullptr;
     const InFlight &head = _inflight.front();
     if (head.req.isStore || head.readyAt > now)
-        return std::nullopt;
-    return head.req;
+        return nullptr;
+    return &head.req;
 }
 
 MemRequest
 ExternalMemory::popReady(Cycle now)
 {
-    auto ready = peekReady(now);
-    PIPESIM_ASSERT(ready, "popReady with no ready response");
+    PIPESIM_ASSERT(peekReady(now), "popReady with no ready response");
     MemRequest req = std::move(_inflight.front().req);
     _inflight.pop_front();
     return req;

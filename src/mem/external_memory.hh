@@ -19,7 +19,6 @@
 
 #include <deque>
 #include <iosfwd>
-#include <optional>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -49,20 +48,20 @@ class ExternalMemory
     bool canAccept() const;
 
     /** Accept a request; readiness is @p now + access time. */
-    void accept(MemRequest req, Cycle now);
+    void accept(const MemRequest &req, Cycle now);
 
     /**
      * Retire completed stores from the head of the in-flight queue
-     * (stores need no bus transfer).  Fires their onComplete.
+     * (stores need no bus transfer and complete silently).
      */
     void tick(Cycle now);
 
     /**
-     * The in-flight load/ifetch at the head of the queue, if its
-     * data is ready at @p now.  Responses leave strictly in
-     * acceptance order.
+     * The in-flight load/ifetch at the head of the queue if its data
+     * is ready at @p now, else nullptr.  Responses leave strictly in
+     * acceptance order.  The pointer is valid until the queue changes.
      */
-    std::optional<MemRequest> peekReady(Cycle now) const;
+    const MemRequest *peekReady(Cycle now) const;
 
     /** Remove the head response (it began its bus transfer). */
     MemRequest popReady(Cycle now);
@@ -81,8 +80,7 @@ class ExternalMemory
 
     void regStats(StatGroup &stats, const std::string &prefix);
 
-    /** Serialize timing state for a checkpoint.  @p rebind re-binds
-     *  restored requests' callbacks (see saveMemRequest). */
+    /** Serialize timing state for a checkpoint. */
     void saveState(StateWriter &w) const
     {
         w.b(_transferring);
@@ -96,8 +94,7 @@ class ExternalMemory
         w.u64(_busyCycles.value());
     }
 
-    void restoreState(StateReader &r,
-                      const std::function<void(MemRequest &)> &rebind)
+    void restoreState(StateReader &r)
     {
         _transferring = r.b();
         _inflight.clear();
@@ -105,7 +102,6 @@ class ExternalMemory
         for (std::uint32_t i = 0; i < n; ++i) {
             InFlight f;
             f.req = restoreMemRequest(r);
-            rebind(f.req);
             f.readyAt = r.u64();
             _inflight.push_back(std::move(f));
         }

@@ -82,7 +82,7 @@ FpuDevice::peekReady(Cycle now) const
     }
     if (!best)
         return std::nullopt;
-    return ReadyRead{best->req, best_result->value};
+    return ReadyRead{&best->req, best_result->value};
 }
 
 void
@@ -90,7 +90,7 @@ FpuDevice::popReady(Cycle now)
 {
     auto ready = peekReady(now);
     PIPESIM_ASSERT(ready, "popReady with no ready FPU response");
-    const unsigned k = unsigned(kindOf(ready->req.addr));
+    const unsigned k = unsigned(kindOf(ready->req->addr));
     _reads[k].pop_front();
     _results[k].pop_front();
     ++_resultsReturned;

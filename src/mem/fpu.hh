@@ -80,11 +80,12 @@ class FpuDevice
 
     /**
      * The oldest queued read whose result is available at @p now,
-     * if any, together with the result value.
+     * if any, together with the result value.  @c req points into the
+     * device's read queue and is valid until the queue changes.
      */
     struct ReadyRead
     {
-        MemRequest req;
+        const MemRequest *req;
         Word value;
     };
     std::optional<ReadyRead> peekReady(Cycle now) const;
@@ -119,8 +120,7 @@ class FpuDevice
         w.u64(_resultsReturned.value());
     }
 
-    void restoreState(StateReader &r,
-                      const std::function<void(MemRequest &)> &rebind)
+    void restoreState(StateReader &r)
     {
         for (Word &a : _latchA)
             a = r.u32();
@@ -140,7 +140,6 @@ class FpuDevice
             for (std::uint32_t i = 0; i < n; ++i) {
                 PendingRead pr;
                 pr.req = restoreMemRequest(r);
-                rebind(pr.req);
                 kind.push_back(std::move(pr));
             }
         }

@@ -27,6 +27,7 @@ MemorySystem::MemorySystem(const MemSystemConfig &config,
 void
 MemorySystem::tick(Cycle now)
 {
+    _demandFetchContended = false;
     _extMem.tick(now);
     deliverLocalResponse(now);
     deliverInputBus(now);
@@ -43,7 +44,7 @@ MemorySystem::serviceDcache(Cycle now)
 {
     if (!_dcache || !_dataClient)
         return;
-    auto req = _dataClient->peek();
+    const MemRequest *req = _dataClient->peek();
     if (!req || req->isStore || FpuDevice::contains(req->addr))
         return;
     if (!_dcache->bytesValid(req->addr, req->bytes)) {
@@ -56,12 +57,10 @@ MemorySystem::serviceDcache(Cycle now)
     }
     _dcache->recordLookup(true);
     ++_dcacheHits;
+    // Copy before accepted(): acceptance resets the client's storage.
+    _localResponses.push_back(
+        LocalResponse{*req, _dataMem.readWord(req->addr), now + 1});
     _dataClient->accepted();
-    LocalResponse resp;
-    resp.req = std::move(*req);
-    resp.value = _dataMem.readWord(resp.req.addr);
-    resp.readyAt = now + 1;
-    _localResponses.push_back(std::move(resp));
 }
 
 /** Deliver at most one ready data-cache hit, in LDQ order. */
@@ -74,12 +73,42 @@ MemorySystem::deliverLocalResponse(Cycle now)
     if (resp.readyAt > now ||
         resp.req.dataSeq != _nextDataDeliverSeq)
         return;
-    if (resp.req.onData)
-        resp.req.onData(resp.value);
-    ++_nextDataDeliverSeq;
-    if (resp.req.onComplete)
-        resp.req.onComplete();
+    finish(resp.req, resp.value);
     _localResponses.pop_front();
+}
+
+MemClient &
+MemorySystem::owner(const MemRequest &req) const
+{
+    MemClient *client = nullptr;
+    switch (req.cls) {
+      case ReqClass::Data: client = _dataClient; break;
+      case ReqClass::IFetchDemand: client = _demandClient; break;
+      case ReqClass::IPrefetch: client = _prefetchClient; break;
+    }
+    PIPESIM_ASSERT(client, "response for unregistered ",
+                   reqClassName(req.cls), " client");
+    return *client;
+}
+
+void
+MemorySystem::finish(const MemRequest &req, Word value)
+{
+    MemClient &client = owner(req);
+    if (req.cls == ReqClass::Data) {
+        client.loadData(req, value);
+        ++_nextDataDeliverSeq;
+    }
+    client.complete(req);
+}
+
+void
+MemorySystem::noteContention(Cycle now, ReqClass cls)
+{
+    if (cls == ReqClass::IFetchDemand)
+        _demandFetchContended = true;
+    if (_probes && _probes->busContention.active())
+        _probes->busContention.notify(obs::BusContentionEvent{now, cls});
 }
 
 bool
@@ -96,12 +125,12 @@ void
 MemorySystem::selectTransfer(Cycle now)
 {
     // Candidate 1: head of the external memory's response queue.
-    std::optional<MemRequest> ext = _extMem.peekReady(now);
+    const MemRequest *ext = _extMem.peekReady(now);
     const bool ext_ok = ext && deliverable(*ext);
 
     // Candidate 2: oldest ready FPU result read.
-    auto fpu_ready = _fpu.peekReady(now);
-    const bool fpu_ok = fpu_ready && deliverable(fpu_ready->req);
+    const auto fpu_ready = _fpu.peekReady(now);
+    const bool fpu_ok = fpu_ready && deliverable(*fpu_ready->req);
 
     if (!ext_ok && !fpu_ok)
         return;
@@ -120,14 +149,14 @@ MemorySystem::selectTransfer(Cycle now)
         t.fromExtMem = true;
         t.value = t.req.loadData;
         _extMem.setTransferring(true);
-        // Fill parity injection: only instruction fills opt in (they
-        // set onParityError), and the decision is made here, before
-        // the first beat, so corrupt data never propagates.
-        if (_faults && t.req.onParityError && !t.req.isStore &&
-            t.req.cls != ReqClass::Data && _faults->corruptFill())
+        // Fill parity injection: only instruction fills are exposed,
+        // and the decision is made here, before the first beat, so
+        // corrupt data never propagates.
+        if (_faults && t.req.cls != ReqClass::Data &&
+            _faults->corruptFill())
             t.corrupted = true;
     } else {
-        t.req = fpu_ready->req;
+        t.req = *fpu_ready->req;
         t.fromExtMem = false;
         t.value = fpu_ready->value;
         _fpu.popReady(now);
@@ -148,34 +177,25 @@ MemorySystem::deliverBeat(Cycle now)
     ++_inputBusBusyCycles;
     // A corrupted transfer occupies the bus for its full duration but
     // delivers nothing: the parity error is detected per beat.
-    if (t.req.onBeat && !t.corrupted)
-        t.req.onBeat(t.nextAddr, beat);
+    if (!t.corrupted)
+        owner(t.req).beat(t.req, t.nextAddr, beat);
     t.nextAddr += beat;
     t.bytesLeft -= beat;
     if (t.bytesLeft == 0) {
-        // Retire the transfer before firing the end-of-transfer
-        // callback: a callback may throw (parity retry exhaustion
-        // raises SimAbort), and the bus must look consistent in the
+        // Retire the transfer before delivering the end of transfer:
+        // the owner may throw (parity retry exhaustion raises
+        // SimAbort), and the bus must look consistent in the
         // post-mortem snapshot.
-        MemRequest req = std::move(t.req);
-        const bool from_ext = t.fromExtMem;
+        const MemRequest req = t.req;
         const bool corrupted = t.corrupted;
         const Word value = t.value;
-        if (from_ext)
+        if (t.fromExtMem)
             _extMem.setTransferring(false);
         _transfer.reset();
-        if (corrupted) {
-            if (req.onParityError)
-                req.onParityError();
-            return;
-        }
-        if (!req.isStore && req.cls == ReqClass::Data) {
-            if (req.onData)
-                req.onData(value);
-            ++_nextDataDeliverSeq;
-        }
-        if (req.onComplete)
-            req.onComplete();
+        if (corrupted)
+            owner(req).parityError(req);
+        else
+            finish(req, value);
     }
 }
 
@@ -193,8 +213,8 @@ MemorySystem::tryAccept(MemClient *client, Cycle now)
 {
     if (!client)
         return false;
-    auto req = client->peek();
-    if (!req)
+    const MemRequest *peeked = client->peek();
+    if (!peeked)
         return false;
 
     // Injected arbitration fault: withhold the grant this cycle.  The
@@ -202,66 +222,62 @@ MemorySystem::tryAccept(MemClient *client, Cycle now)
     // arbitration, so this only stretches timing (rate 1.0 starves
     // the bus outright -- a clean way to force a deadlock).
     if (_faults && _faults->delayGrant()) {
-        if (_probes && _probes->busContention.active())
-            _probes->busContention.notify(
-                obs::BusContentionEvent{now, req->cls});
+        noteContention(now, peeked->cls);
         return false;
     }
 
-    const bool to_fpu = FpuDevice::contains(req->addr);
+    const bool to_fpu = FpuDevice::contains(peeked->addr);
     if (!to_fpu && !_extMem.canAccept()) {
-        if (_probes && _probes->busContention.active())
-            _probes->busContention.notify(
-                obs::BusContentionEvent{now, req->cls});
+        noteContention(now, peeked->cls);
         return false;
     }
 
+    // The one copy of the request: accepted() resets the storage the
+    // peeked pointer refers to.
+    MemRequest req = *peeked;
     client->accepted();
     ++_outputBusBusyCycles;
     if (_probes && _probes->busGrant.active())
         _probes->busGrant.notify(
-            obs::BusGrantEvent{now, req->cls, req->addr, req->isStore});
-    switch (req->cls) {
+            obs::BusGrantEvent{now, req.cls, req.addr, req.isStore});
+    switch (req.cls) {
       case ReqClass::Data: ++_dataRequests; break;
       case ReqClass::IFetchDemand: ++_demandRequests; break;
       case ReqClass::IPrefetch: ++_prefetchRequests; break;
     }
 
     if (to_fpu) {
-        if (req->isStore) {
-            _fpu.store(req->addr, req->storeData, now);
-            if (req->onComplete)
-                req->onComplete();
-        } else {
-            _fpu.queueRead(*req, now);
-        }
+        if (req.isStore)
+            _fpu.store(req.addr, req.storeData, now);
+        else
+            _fpu.queueRead(req, now);
         return true;
     }
 
-    if (req->isStore) {
+    if (req.isStore) {
         // Applied now; later loads are accepted later in program
         // order and capture their values at acceptance, so ordering
         // is preserved.
-        _dataMem.writeWord(req->addr, req->storeData);
+        _dataMem.writeWord(req.addr, req.storeData);
         // Write-through: update the data cache only if present.
-        if (_dcache && _dcache->linePresent(req->addr))
-            _dcache->fill(Addr(alignDown(req->addr, wordBytes)),
+        if (_dcache && _dcache->linePresent(req.addr))
+            _dcache->fill(Addr(alignDown(req.addr, wordBytes)),
                           wordBytes);
-    } else if (req->cls == ReqClass::Data) {
-        req->loadData = _dataMem.readWord(req->addr);
+    } else if (req.cls == ReqClass::Data) {
+        req.loadData = _dataMem.readWord(req.addr);
         // Miss fill (word granular, allocating the line frame).
         if (_dcache) {
-            if (!_dcache->linePresent(req->addr))
-                _dcache->allocate(req->addr);
-            _dcache->fill(Addr(alignDown(req->addr, wordBytes)),
+            if (!_dcache->linePresent(req.addr))
+                _dcache->allocate(req.addr);
+            _dcache->fill(Addr(alignDown(req.addr, wordBytes)),
                           wordBytes);
         }
     }
     // Injected response jitter (0 when no injector or the roll
     // misses); the external memory adds it to the ready time.
     if (_faults)
-        req->extraLatency = _faults->responseJitter();
-    _extMem.accept(std::move(*req), now);
+        req.extraLatency = _faults->responseJitter();
+    _extMem.accept(req, now);
     return true;
 }
 
@@ -278,16 +294,15 @@ MemorySystem::acceptOutputBus(Cycle now)
         if (!tryAccept(order[i], now))
             continue;
         // Lower-priority clients with a request pending this cycle
-        // lost arbitration; report them only when someone listens
-        // (the extra peeks cost nothing when the bus is detached).
-        if (_probes && _probes->busContention.active()) {
-            for (std::size_t j = i + 1; j < order.size(); ++j) {
-                if (!order[j])
-                    continue;
-                if (auto loser = order[j]->peek())
-                    _probes->busContention.notify(
-                        obs::BusContentionEvent{now, loser->cls});
-            }
+        // lost arbitration.  Only a losing demand fetch matters to the
+        // cycle accounting, so the other losers are peeked only when
+        // someone listens to the probe.
+        const bool report = _probes && _probes->busContention.active();
+        for (std::size_t j = i + 1; j < order.size(); ++j) {
+            if (!order[j] || (!report && order[j] != _demandClient))
+                continue;
+            if (const MemRequest *loser = order[j]->peek())
+                noteContention(now, loser->cls);
         }
         return;
     }
@@ -359,14 +374,12 @@ MemorySystem::saveState(StateWriter &w) const
 }
 
 void
-MemorySystem::restoreState(StateReader &r,
-                           const std::function<void(MemRequest &)> &rebind)
+MemorySystem::restoreState(StateReader &r)
 {
     _transfer.reset();
     if (r.b()) {
         Transfer t;
         t.req = restoreMemRequest(r);
-        rebind(t.req);
         t.nextAddr = r.u32();
         t.bytesLeft = r.u32();
         t.fromExtMem = r.b();
@@ -383,7 +396,6 @@ MemorySystem::restoreState(StateReader &r,
     for (std::uint32_t i = 0; i < locals; ++i) {
         LocalResponse resp;
         resp.req = restoreMemRequest(r);
-        rebind(resp.req);
         resp.value = r.u32();
         resp.readyAt = r.u64();
         _localResponses.push_back(std::move(resp));
@@ -398,8 +410,8 @@ MemorySystem::restoreState(StateReader &r,
     _demandRequests.set(r.u64());
     _prefetchRequests.set(r.u64());
     _beatsDelivered.set(r.u64());
-    _extMem.restoreState(r, rebind);
-    _fpu.restoreState(r, rebind);
+    _extMem.restoreState(r);
+    _fpu.restoreState(r);
 }
 
 void

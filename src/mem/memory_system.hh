@@ -21,7 +21,6 @@
 #define PIPESIM_MEM_MEMORY_SYSTEM_HH
 
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <optional>
 
@@ -68,11 +67,20 @@ class MemorySystem
   public:
     MemorySystem(const MemSystemConfig &config, DataMemory &data_memory);
 
-    /** Register the CPU's data-queue request source. */
+    /**
+     * Register the CPU's data-queue request source; Data-class
+     * responses return to it.
+     */
     void setDataClient(MemClient *client) { _dataClient = client; }
-    /** Register the fetch unit's demand-miss request source. */
+    /**
+     * Register the fetch unit's demand-miss request source;
+     * IFetchDemand-class responses return to it.
+     */
     void setDemandClient(MemClient *client) { _demandClient = client; }
-    /** Register the fetch unit's prefetch request source. */
+    /**
+     * Register the fetch unit's prefetch request source;
+     * IPrefetch-class responses return to it.
+     */
     void setPrefetchClient(MemClient *client) { _prefetchClient = client; }
 
     /**
@@ -103,6 +111,14 @@ class MemorySystem
 
     const MemSystemConfig &config() const { return _config; }
 
+    /**
+     * True if a demand instruction fetch was presented this cycle and
+     * not granted: a fault-delayed grant, an external-memory refusal,
+     * or a loss to a higher-priority grant.  Reset by every tick();
+     * the CPI stack reads it to tell bus contention from fetch starve.
+     */
+    bool demandFetchContended() const { return _demandFetchContended; }
+
     /** True while a response transfer occupies the input bus. */
     bool inputBusBusy() const { return _transfer.has_value(); }
 
@@ -126,13 +142,10 @@ class MemorySystem
     void saveState(StateWriter &w) const;
 
     /**
-     * Restore state saved by saveState().  @p rebind re-attaches the
-     * callbacks of every in-flight request (dispatching on ReqClass
-     * to the pipeline or the fetch unit); geometry mismatches fail
+     * Restore state saved by saveState(); geometry mismatches fail
      * the reader.
      */
-    void restoreState(StateReader &r,
-                      const std::function<void(MemRequest &)> &rebind);
+    void restoreState(StateReader &r);
 
   private:
     struct Transfer
@@ -141,12 +154,12 @@ class MemorySystem
         Addr nextAddr;
         unsigned bytesLeft;
         bool fromExtMem;
-        Word value; //!< data-load value to hand to onData
+        Word value; //!< data-load value to hand to loadData()
         /**
          * Injected fill parity error: the bus stays occupied for the
-         * usual beats, but no onBeat fires and onParityError replaces
-         * onComplete at the end (decided once, at transfer selection,
-         * so not a single corrupt byte is ever delivered).
+         * usual beats, but no beat is delivered and parityError()
+         * replaces complete() at the end (decided once, at transfer
+         * selection, so not a single corrupt byte is ever delivered).
          */
         bool corrupted = false;
     };
@@ -162,6 +175,18 @@ class MemorySystem
     /** True if this response may start transferring now. */
     bool deliverable(const MemRequest &req) const;
 
+    /** The client that owns @p req's class (its responses go there). */
+    MemClient &owner(const MemRequest &req) const;
+
+    /** Hand a finished load/fill response back to its owner. */
+    void finish(const MemRequest &req, Word value);
+
+    /**
+     * A presented request of class @p cls was not granted this cycle:
+     * raise the demand-fetch flag and emit busContention.
+     */
+    void noteContention(Cycle now, ReqClass cls);
+
     MemSystemConfig _config;
     DataMemory &_dataMem;
     ExternalMemory _extMem;
@@ -174,6 +199,7 @@ class MemorySystem
     fault::FaultInjector *_faults = nullptr;
 
     std::optional<Transfer> _transfer;
+    bool _demandFetchContended = false;
 
     /** On-chip data cache state (extension; see MemSystemConfig). */
     std::optional<SubblockCache> _dcache;

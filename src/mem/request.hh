@@ -9,8 +9,6 @@
 #define PIPESIM_MEM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 
 #include "common/state_io.hh"
 #include "common/types.hh"
@@ -33,13 +31,13 @@ enum class ReqClass : unsigned char
 };
 
 /**
- * One request presented to the memory interface.
+ * One request presented to the memory interface: plain data.
  *
  * Loads and instruction fetches produce response beats on the input
- * bus; stores complete silently.  @c onBeat is invoked once per input
- * bus beat with the byte range delivered; @c onComplete fires after
- * the final beat (or, for stores, when the memory finishes the
- * write).
+ * bus; stores complete silently.  The memory system hands every
+ * response back to the client registered for the request's class
+ * (see MemClient), so a request carries no reference to its owner and
+ * checkpoints restore in-flight requests as they are.
  */
 struct MemRequest
 {
@@ -57,28 +55,6 @@ struct MemRequest
      */
     std::uint64_t dataSeq = 0;
 
-    /** Called for every input-bus beat: (base address, bytes). */
-    std::function<void(Addr, unsigned)> onBeat;
-
-    /**
-     * For data loads: called with the loaded word when the response
-     * is delivered.  The value is captured when the memory services
-     * the request, preserving program-order memory semantics.
-     */
-    std::function<void(Word)> onData;
-
-    /** Called once when the request fully completes. */
-    std::function<void()> onComplete;
-
-    /**
-     * Instruction fills only: the transfer was corrupted (an injected
-     * fill parity error).  Fired at end-of-transfer *instead of*
-     * onComplete; no onBeat fires for a corrupted transfer, so no
-     * corrupt byte ever reaches a cache or the decoder.  The fetch
-     * unit is expected to discard its fill state and retry.
-     */
-    std::function<void()> onParityError;
-
     /**
      * Extra response latency added by fault injection (set by the
      * memory system at acceptance; 0 when injection is off).
@@ -89,14 +65,7 @@ struct MemRequest
     Word loadData = 0;
 };
 
-/**
- * Serialize the value fields of a request for a checkpoint.  The
- * callbacks are deliberately not captured: they close over component
- * pointers that are meaningless in another process, so the restore
- * path re-binds them from the owning component (ReplayPipeline for
- * Data requests, the fetch unit for instruction fills) after
- * restoreMemRequest() rebuilds the plain fields.
- */
+/** Serialize a request for a checkpoint. */
 inline void
 saveMemRequest(StateWriter &w, const MemRequest &req)
 {
@@ -110,7 +79,7 @@ saveMemRequest(StateWriter &w, const MemRequest &req)
     w.u32(req.loadData);
 }
 
-/** Rebuild the value fields; callbacks stay empty until re-bound. */
+/** Rebuild a request written by saveMemRequest(). */
 inline MemRequest
 restoreMemRequest(StateReader &r)
 {
@@ -142,22 +111,53 @@ reqClassName(ReqClass cls)
 }
 
 /**
- * Pull interface the memory system uses to collect requests.
+ * The interface between a requester and the memory system.
  *
- * Each requester exposes at most one candidate request per cycle;
- * when the output bus accepts it the memory system calls accepted()
- * and the requester pops its internal queue.
+ * Requests are pulled: each requester exposes at most one candidate
+ * request per cycle; when the output bus accepts it the memory system
+ * copies it and then calls accepted(), and the requester pops its
+ * internal queue.  Responses are pushed back to the client registered
+ * for the request's class, each passed the request it answers.
  */
 class MemClient
 {
   public:
     virtual ~MemClient() = default;
 
-    /** The request this client wants to issue now, if any. */
-    virtual std::optional<MemRequest> peek() = 0;
+    /**
+     * The request this client wants to issue now, or nullptr.  The
+     * pointer refers to the client's own storage and stays valid only
+     * until the next call into the client.
+     */
+    virtual const MemRequest *peek() = 0;
 
     /** The peeked request was accepted this cycle. */
     virtual void accepted() = 0;
+
+    /**
+     * One input-bus beat of the request's response: the bytes at
+     * [base address, base address + bytes).
+     */
+    virtual void beat(const MemRequest &, Addr, unsigned) {}
+
+    /**
+     * A data load's value, in program (dataSeq) order.  The value was
+     * captured when the memory serviced the request, preserving
+     * program-order memory semantics.
+     */
+    virtual void loadData(const MemRequest &, Word) {}
+
+    /** The request's response finished (after its final beat). */
+    virtual void complete(const MemRequest &) {}
+
+    /**
+     * Instruction fills only: the transfer was corrupted (an injected
+     * fill parity error).  Delivered at end-of-transfer *instead of*
+     * complete(); no beat() is delivered for a corrupted transfer, so
+     * no corrupt byte ever reaches a cache or the decoder.  The fetch
+     * unit is expected to discard its fill state and retry.
+     */
+    virtual void parityError(const MemRequest &) {}
 };
 
 } // namespace pipesim

@@ -7,42 +7,6 @@
 namespace pipesim::obs
 {
 
-CpiStack::~CpiStack()
-{
-    detach();
-}
-
-void
-CpiStack::attach(ProbeBus &bus)
-{
-    detach();
-    _bus = &bus;
-    _contentionId =
-        bus.busContention.connect([this](const BusContentionEvent &ev) {
-            if (ev.cls == ReqClass::IFetchDemand)
-                _fetchContended = true;
-        });
-    // The memory system ticks before the pipeline, so the contention
-    // flag for cycle N is always set before cycle N is classified.
-    _cycleId = bus.cycleClass.connect([this](const CycleClassEvent &ev) {
-        CycleClass cls = ev.cls;
-        if (cls == CycleClass::FetchStarve && _fetchContended)
-            cls = CycleClass::BusContention;
-        ++_components[unsigned(cls)];
-        _fetchContended = false;
-    });
-}
-
-void
-CpiStack::detach()
-{
-    if (!_bus)
-        return;
-    _bus->cycleClass.disconnect(_cycleId);
-    _bus->busContention.disconnect(_contentionId);
-    _bus = nullptr;
-}
-
 std::uint64_t
 CpiStack::component(CycleClass cls) const
 {

@@ -1,21 +1,21 @@
 /**
  * @file
- * CPI-stack cycle accountant: a ProbeBus listener that attributes
- * every simulated cycle to exactly one cause, so a run's cycle count
- * decomposes into an additive stack (the presentation style of
- * fetch-bottleneck studies: base issue work at the bottom, then each
- * loss category on top).
+ * CPI-stack cycle accountant: attributes every simulated cycle to
+ * exactly one cause, so a run's cycle count decomposes into an
+ * additive stack (the presentation style of fetch-bottleneck studies:
+ * base issue work at the bottom, then each loss category on top).
  *
  * Invariants (asserted by the observability tests):
  *  - issue + fetch_starve + load_data_wait + queue_full + reg_busy +
  *    bus_contention == SimResult::totalCycles (the halt cycle), and
  *  - adding drain gives the total number of simulated ticks.
  *
- * The pipeline classifies each tick (see obs::CycleClass); the
- * accountant refines FetchStarve into BusContention when the memory
- * system reported a blocked demand instruction fetch in the same
- * cycle, attributing starvation to output-bus/memory contention
- * rather than to cache misses alone.
+ * The pipeline classifies each tick (see obs::CycleClass) and feeds
+ * the class to account() at the end of the tick, together with the
+ * memory system's per-tick demand-fetch contention flag; the
+ * accountant refines FetchStarve into BusContention when that flag is
+ * set, attributing starvation to output-bus/memory contention rather
+ * than to cache misses alone.
  */
 
 #ifndef PIPESIM_OBS_CPI_STACK_HH
@@ -33,17 +33,17 @@ namespace pipesim::obs
 class CpiStack
 {
   public:
-    CpiStack() = default;
-    ~CpiStack();
-
-    CpiStack(const CpiStack &) = delete;
-    CpiStack &operator=(const CpiStack &) = delete;
-
-    /** Connect to @p bus; the bus must outlive this object. */
-    void attach(ProbeBus &bus);
-
-    /** Disconnect from the bus (idempotent). */
-    void detach();
+    /**
+     * Attribute one tick of class @p cls; @p fetchContended turns a
+     * FetchStarve tick into BusContention.
+     */
+    void
+    account(CycleClass cls, bool fetchContended)
+    {
+        if (cls == CycleClass::FetchStarve && fetchContended)
+            cls = CycleClass::BusContention;
+        ++_components[unsigned(cls)];
+    }
 
     /** Cycles attributed to @p cls so far. */
     std::uint64_t component(CycleClass cls) const;
@@ -67,11 +67,6 @@ class CpiStack
 
   private:
     std::array<Counter, numCycleClasses> _components;
-    bool _fetchContended = false;
-
-    ProbeBus *_bus = nullptr;
-    ProbePoint<CycleClassEvent>::ListenerId _cycleId = 0;
-    ProbePoint<BusContentionEvent>::ListenerId _contentionId = 0;
 };
 
 } // namespace pipesim::obs

@@ -21,7 +21,7 @@ TraceCapture::TraceCapture(Simulator &sim, std::string provenance)
         r.isPbr = ev.hasBranch;
         r.branchTaken = ev.branchTaken;
         r.branchTarget = ev.branchTarget;
-        _trace.records.push_back(r);
+        _records.push_back(r);
     });
 }
 
@@ -38,6 +38,8 @@ TraceCapture::finish()
         _bus.retire.disconnect(_id);
         _connected = false;
     }
+    _trace.records.assign(_records.begin(), _records.end());
+    std::deque<TraceRecord>().swap(_records);
     encodeTrace(_trace); // refresh _trace.sha256
     return std::move(_trace);
 }

@@ -14,6 +14,7 @@
 #ifndef PIPESIM_REPLAY_CAPTURE_HH
 #define PIPESIM_REPLAY_CAPTURE_HH
 
+#include <deque>
 #include <string>
 
 #include "obs/probe.hh"
@@ -55,6 +56,14 @@ class TraceCapture
     obs::ProbePoint<obs::RetireEvent>::ListenerId _id;
     bool _connected = true;
     Trace _trace;
+
+    /**
+     * Records as they retire.  A deque grows in fixed-size chunks, so
+     * capture never holds a doubling vector's slack or a
+     * reallocation's two copies; finish() copies the records once
+     * into the exact-size Trace::records.
+     */
+    std::deque<TraceRecord> _records;
 };
 
 /**

@@ -2,7 +2,6 @@
 
 #include "common/abort.hh"
 #include "core/fetch_factory.hh"
-#include "mem/request.hh"
 #include "sim/guard.hh"
 
 namespace pipesim::replay
@@ -81,12 +80,7 @@ ReplayMachine::restoreState(StateReader &r)
     lastRetired = r.u64();
     pipe.restoreState(r);
     fetch->restoreState(r);
-    mem.restoreState(r, [this](MemRequest &req) {
-        if (req.cls == ReqClass::Data)
-            pipe.rebindDataRequest(req);
-        else
-            fetch->rebindRequest(req);
-    });
+    mem.restoreState(r);
 }
 
 } // namespace pipesim::replay

@@ -7,9 +7,8 @@
  * Extracted from replay_engine.cc so the checkpoint store
  * (replay/checkpoint.hh) can snapshot and restore a warm machine:
  * saveState() serializes every timing-relevant component in a fixed
- * order and restoreState() rebuilds it on a fresh instance, including
- * re-binding the callbacks of in-flight memory requests (which cannot
- * be serialized) to the new machine's components.
+ * order and restoreState() rebuilds it on a fresh instance.  Memory
+ * requests are plain data, so in-flight ones restore as they are.
  */
 
 #ifndef PIPESIM_REPLAY_REPLAY_MACHINE_HH
@@ -69,9 +68,7 @@ struct ReplayMachine
      * Restore state written by saveState() into this machine.  The
      * machine must have been constructed with the same config,
      * program, trace and firstRecord that produced the snapshot
-     * (the checkpoint store's cache key enforces this).  In-flight
-     * memory requests are re-bound to this machine's pipeline and
-     * fetch unit by request class.
+     * (the checkpoint store's cache key enforces this).
      */
     void restoreState(StateReader &r);
 };

@@ -65,6 +65,8 @@ ReplayPipeline::ReplayPipeline(const PipelineConfig &config,
       _cursor(firstRecord)
 {
     _mem.setDataClient(&_dataPort);
+    _loadReq.bytes = _storeReq.bytes = wordBytes;
+    _storeReq.isStore = true;
 }
 
 ReplayPipeline::~ReplayPipeline()
@@ -79,7 +81,7 @@ ReplayPipeline::drained() const
            _queues.sdq().empty() && _loadsIssued == _loadsDelivered;
 }
 
-std::optional<MemRequest>
+const MemRequest *
 ReplayPipeline::peekDataOp()
 {
     const auto &laq = _queues.laq();
@@ -87,7 +89,7 @@ ReplayPipeline::peekDataOp()
     const bool have_load = !laq.empty();
     const bool have_store = !saq.empty();
     if (!have_load && !have_store)
-        return std::nullopt;
+        return nullptr;
 
     bool pick_load;
     if (have_load && have_store)
@@ -95,28 +97,16 @@ ReplayPipeline::peekDataOp()
     else
         pick_load = have_load;
 
-    MemRequest req;
-    req.cls = ReqClass::Data;
-    req.bytes = wordBytes;
     if (pick_load) {
-        req.addr = laq.front().addr;
-        req.isStore = false;
-        req.dataSeq = _loadsAccepted;
-        req.onData = [this](Word) {
-            PIPESIM_ASSERT(!_queues.ldq().full(),
-                           "LDQ overflow: reservation logic broken");
-            // The loaded value is timing-irrelevant; park a zero.
-            _queues.ldq().push(0);
-            ++_loadsDelivered;
-        };
-    } else {
-        if (_queues.sdq().empty())
-            return std::nullopt;
-        req.addr = saq.front().addr;
-        req.isStore = true;
-        req.storeData = _queues.sdq().front();
+        _loadReq.addr = laq.front().addr;
+        _loadReq.dataSeq = _loadsAccepted;
+        return &_loadReq;
     }
-    return req;
+    if (_queues.sdq().empty())
+        return nullptr;
+    _storeReq.addr = saq.front().addr;
+    _storeReq.storeData = _queues.sdq().front();
+    return &_storeReq;
 }
 
 void
@@ -142,7 +132,7 @@ ReplayPipeline::dataOpAccepted()
     }
 }
 
-std::optional<MemRequest>
+const MemRequest *
 ReplayPipeline::DataPort::peek()
 {
     return _owner.peekDataOp();
@@ -152,6 +142,16 @@ void
 ReplayPipeline::DataPort::accepted()
 {
     _owner.dataOpAccepted();
+}
+
+void
+ReplayPipeline::DataPort::loadData(const MemRequest &, Word)
+{
+    PIPESIM_ASSERT(!_owner._queues.ldq().full(),
+                   "LDQ overflow: reservation logic broken");
+    // The loaded value is timing-irrelevant; park a zero.
+    _owner._queues.ldq().push(0);
+    ++_owner._loadsDelivered;
 }
 
 ReplayPipeline::StallReason
@@ -328,21 +328,6 @@ ReplayPipeline::tick(Cycle now)
         else
             ++_fetchStarveCycles;
     }
-}
-
-void
-ReplayPipeline::rebindDataRequest(MemRequest &req)
-{
-    // Mirror of peekDataOp's binding: loads deliver into the LDQ,
-    // stores carry no callbacks.
-    if (req.isStore)
-        return;
-    req.onData = [this](Word) {
-        PIPESIM_ASSERT(!_queues.ldq().full(),
-                       "LDQ overflow: reservation logic broken");
-        _queues.ldq().push(0);
-        ++_loadsDelivered;
-    };
 }
 
 namespace

@@ -85,21 +85,14 @@ class ReplayPipeline
      */
     void restoreState(StateReader &r);
 
-    /**
-     * Re-attach this pipeline's callbacks to an in-flight Data-class
-     * request restored by MemorySystem::restoreState (mirrors the
-     * binding in peekDataOp: loads deliver into the LDQ, stores have
-     * no callbacks).
-     */
-    void rebindDataRequest(MemRequest &req);
-
   private:
     class DataPort : public MemClient
     {
       public:
         explicit DataPort(ReplayPipeline &owner) : _owner(owner) {}
-        std::optional<MemRequest> peek() override;
+        const MemRequest *peek() override;
         void accepted() override;
+        void loadData(const MemRequest &req, Word value) override;
 
       private:
         ReplayPipeline &_owner;
@@ -120,7 +113,7 @@ class ReplayPipeline
     void execute(const isa::FetchedInst &fi, Cycle now);
     const TraceRecord &recordFor(const isa::FetchedInst &fi);
 
-    std::optional<MemRequest> peekDataOp();
+    const MemRequest *peekDataOp();
     void dataOpAccepted();
 
     PipelineConfig _cfg;
@@ -141,6 +134,10 @@ class ReplayPipeline
         Addr target;
     };
     std::optional<Resolve> _pendingResolve;
+
+    /** The data port's candidates, refreshed by every peek. */
+    MemRequest _loadReq;
+    MemRequest _storeReq;
 
     bool _halted = false;
     Cycle _haltCycle = 0;

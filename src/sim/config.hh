@@ -35,10 +35,10 @@ struct SimConfig
     fault::FaultConfig fault;
 
     /**
-     * Attach the CPI-stack cycle accountant (obs::CpiStack) to the
-     * run, registering the per-cause cycle breakdown as "cpi_stack.*"
-     * counters.  On by default so every tool reports it; turn off to
-     * measure the raw, listener-free simulation rate.
+     * Feed the CPI-stack cycle accountant (obs::CpiStack) from the
+     * pipeline, registering the per-cause cycle breakdown as
+     * "cpi_stack.*" counters.  On by default so every tool reports
+     * it; turning it off skips only the accounting.
      */
     bool cpiStack = true;
 

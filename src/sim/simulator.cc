@@ -1,6 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/abort.hh"
@@ -45,21 +44,13 @@ Simulator::Simulator(const SimConfig &config, const Program &program)
         _faultInjector->regStats(_stats, "fault");
     }
 
-    // Forensics: remember the last few retired PCs for snapshots.
-    // The listener lives exactly as long as the bus, so it is never
-    // disconnected.
-    _probes.retire.connect([this](const obs::RetireEvent &ev) {
-        _retiredPcs[_retiredRingCount % _retiredPcs.size()] = ev.inst.pc;
-        ++_retiredRingCount;
-    });
-
     _pipeline->regStats(_stats, "cpu");
     _fetch->regStats(_stats, "fetch");
     _mem->regStats(_stats, "mem");
 
     if (config.cpiStack) {
         _cpiStack = std::make_unique<obs::CpiStack>();
-        _cpiStack->attach(_probes);
+        _pipeline->setCpiStack(_cpiStack.get());
         _cpiStack->regStats(_stats, "cpi_stack");
     }
 }
@@ -191,11 +182,7 @@ Simulator::snapshot() const
     s.cycle = _now;
     s.lastProgressCycle = _lastProgressCycle;
     s.instructionsRetired = _pipeline->instructionsRetired();
-    const std::uint64_t n =
-        std::min<std::uint64_t>(_retiredRingCount, _retiredPcs.size());
-    for (std::uint64_t i = _retiredRingCount - n; i < _retiredRingCount;
-         ++i)
-        s.lastRetiredPcs.push_back(_retiredPcs[i % _retiredPcs.size()]);
+    s.lastRetiredPcs = _pipeline->recentRetiredPcs();
     std::ostringstream pipe, fetch, mem;
     _pipeline->dumpState(pipe);
     _fetch->dumpState(fetch);

@@ -12,7 +12,6 @@
 #ifndef PIPESIM_SIM_SIMULATOR_HH
 #define PIPESIM_SIM_SIMULATOR_HH
 
-#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -137,10 +136,6 @@ class Simulator
     Cycle _now = 0;
     Cycle _lastProgressCycle = 0;
     std::uint64_t _lastRetired = 0;
-
-    /** Ring of recently retired PCs (fed from the retire probe). */
-    std::array<Addr, 16> _retiredPcs{};
-    std::uint64_t _retiredRingCount = 0;
 };
 
 /** Convenience: build, run and tear down a simulator in one call. */

@@ -20,14 +20,12 @@ load(Addr addr, unsigned bytes = 4)
 }
 
 MemRequest
-store(Addr addr, bool *completed = nullptr)
+store(Addr addr)
 {
     MemRequest req;
     req.addr = addr;
     req.bytes = 4;
     req.isStore = true;
-    if (completed)
-        req.onComplete = [completed]() { *completed = true; };
     return req;
 }
 
@@ -77,13 +75,16 @@ TEST(ExternalMemoryTest, PipelinedAcceptsWhileBusy)
 TEST(ExternalMemoryTest, StoresRetireSilently)
 {
     ExternalMemory mem(2, false);
-    bool completed = false;
-    mem.accept(store(0x40, &completed), 5);
+    StatGroup stats;
+    mem.regStats(stats, "m");
+    mem.accept(store(0x40), 5);
     mem.tick(6);
-    EXPECT_FALSE(completed);
+    EXPECT_FALSE(mem.idle()); // still in flight
+    EXPECT_EQ(mem.inflightCount(), 1u);
     mem.tick(7);
-    EXPECT_TRUE(completed);
-    EXPECT_TRUE(mem.idle());
+    EXPECT_TRUE(mem.idle()); // completed at its ready time
+    EXPECT_EQ(mem.inflightCount(), 0u);
+    EXPECT_EQ(stats.counterValue("m.writes"), 1u);
     // A store never becomes a bus response.
     EXPECT_FALSE(mem.peekReady(10));
 }

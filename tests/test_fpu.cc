@@ -106,7 +106,7 @@ TEST(FpuDeviceTest, PipelinedSameKindResultsFifo)
     auto r0 = fpu.peekReady(10);
     ASSERT_TRUE(r0);
     EXPECT_FLOAT_EQ(w2f(r0->value), 2.0f);
-    EXPECT_EQ(r0->req.dataSeq, 0u);
+    EXPECT_EQ(r0->req->dataSeq, 0u);
     fpu.popReady(10);
     auto r1 = fpu.peekReady(10);
     ASSERT_TRUE(r1);
@@ -139,7 +139,7 @@ TEST(FpuDeviceTest, OldestDataSeqWinsAcrossKinds)
     fpu.queueRead(readReq(FpuOp::Add, 7), 0);
     auto ready = fpu.peekReady(2);
     ASSERT_TRUE(ready);
-    EXPECT_EQ(ready->req.dataSeq, 3u);
+    EXPECT_EQ(ready->req->dataSeq, 3u);
 }
 
 TEST(FpuDeviceTest, StoreToResultAddressIsFatal)

@@ -239,7 +239,9 @@ TEST(InstructionHelpers, SrcRegsAndQueueUse)
     add.rd = 7;
     add.rs1 = 7;
     add.rs2 = 2;
-    EXPECT_EQ(add.srcRegs(), (std::vector<std::uint8_t>{7, 2}));
+    const RegList src = add.srcRegs();
+    EXPECT_EQ(std::vector<std::uint8_t>(src.begin(), src.end()),
+              (std::vector<std::uint8_t>{7, 2}));
     EXPECT_EQ(add.ldqPops(), 1u);
     EXPECT_TRUE(add.pushesSdq());
     EXPECT_TRUE(add.writesReg(7));

@@ -12,19 +12,25 @@ using namespace pipesim;
 namespace
 {
 
-/** A scriptable memory client for driving the arbitration logic. */
+/**
+ * A scriptable memory client for driving the arbitration logic; it
+ * records the responses the memory system returns to it.
+ */
 class FakeClient : public MemClient
 {
   public:
     std::deque<MemRequest> queue;
     unsigned acceptedCount = 0;
+    /** Load values delivered, in delivery order, with their dataSeq. */
+    std::vector<Word> loaded;
+    std::vector<std::uint64_t> loadedSeqs;
+    /** Input-bus beats delivered: (base address, bytes). */
+    std::vector<std::pair<Addr, unsigned>> beats;
 
-    std::optional<MemRequest>
+    const MemRequest *
     peek() override
     {
-        if (queue.empty())
-            return std::nullopt;
-        return queue.front();
+        return queue.empty() ? nullptr : &queue.front();
     }
 
     void
@@ -32,6 +38,19 @@ class FakeClient : public MemClient
     {
         queue.pop_front();
         ++acceptedCount;
+    }
+
+    void
+    loadData(const MemRequest &req, Word value) override
+    {
+        loaded.push_back(value);
+        loadedSeqs.push_back(req.dataSeq);
+    }
+
+    void
+    beat(const MemRequest &, Addr addr, unsigned bytes) override
+    {
+        beats.push_back({addr, bytes});
     }
 };
 
@@ -60,14 +79,13 @@ struct Harness
 };
 
 MemRequest
-makeLoad(Addr addr, std::uint64_t seq, std::vector<Word> *sink)
+makeLoad(Addr addr, std::uint64_t seq)
 {
     MemRequest req;
     req.addr = addr;
     req.bytes = wordBytes;
     req.cls = ReqClass::Data;
     req.dataSeq = seq;
-    req.onData = [sink](Word w) { sink->push_back(w); };
     return req;
 }
 
@@ -84,16 +102,12 @@ makeStore(Addr addr, Word value)
 }
 
 MemRequest
-makeIFetch(Addr addr, unsigned bytes, ReqClass cls,
-           std::vector<std::pair<Addr, unsigned>> *beats)
+makeIFetch(Addr addr, unsigned bytes, ReqClass cls)
 {
     MemRequest req;
     req.addr = addr;
     req.bytes = bytes;
     req.cls = cls;
-    req.onBeat = [beats](Addr a, unsigned n) {
-        beats->push_back({a, n});
-    };
     return req;
 }
 
@@ -105,25 +119,23 @@ TEST(MemorySystemTest, LoadRoundTripLatency)
     cfg.accessTime = 3;
     Harness h(cfg);
     h.dataMem.writeWord(0x100, 0xabcd);
-    std::vector<Word> got;
-    h.data.queue.push_back(makeLoad(0x100, 0, &got));
+    h.data.queue.push_back(makeLoad(0x100, 0));
 
     h.run(3); // accepted at cycle 0, ready at 3, delivered at tick 3
-    EXPECT_TRUE(got.empty());
+    EXPECT_TRUE(h.data.loaded.empty());
     h.run(1);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], 0xabcdu);
+    ASSERT_EQ(h.data.loaded.size(), 1u);
+    EXPECT_EQ(h.data.loaded[0], 0xabcdu);
 }
 
 TEST(MemorySystemTest, StoreThenLoadSeesNewValue)
 {
     Harness h;
     h.data.queue.push_back(makeStore(0x40, 123));
-    std::vector<Word> got;
-    h.data.queue.push_back(makeLoad(0x40, 0, &got));
+    h.data.queue.push_back(makeLoad(0x40, 0));
     h.run(10);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], 123u);
+    ASSERT_EQ(h.data.loaded.size(), 1u);
+    EXPECT_EQ(h.data.loaded[0], 123u);
 }
 
 TEST(MemorySystemTest, LoadBeforeStoreSeesOldValue)
@@ -134,12 +146,11 @@ TEST(MemorySystemTest, LoadBeforeStoreSeesOldValue)
     cfg.pipelined = true;
     Harness h(cfg);
     h.dataMem.writeWord(0x40, 7);
-    std::vector<Word> got;
-    h.data.queue.push_back(makeLoad(0x40, 0, &got));
+    h.data.queue.push_back(makeLoad(0x40, 0));
     h.data.queue.push_back(makeStore(0x40, 99));
     h.run(12);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0], 7u); // captured at acceptance, not delivery
+    ASSERT_EQ(h.data.loaded.size(), 1u);
+    EXPECT_EQ(h.data.loaded[0], 7u); // captured at acceptance, not delivery
     EXPECT_EQ(h.dataMem.readWord(0x40), 99u);
 }
 
@@ -149,13 +160,12 @@ TEST(MemorySystemTest, LineFetchBeatsMatchBusWidth)
     cfg.accessTime = 1;
     cfg.busWidthBytes = 8;
     Harness h(cfg);
-    std::vector<std::pair<Addr, unsigned>> beats;
     h.demand.queue.push_back(
-        makeIFetch(0x200, 32, ReqClass::IFetchDemand, &beats));
+        makeIFetch(0x200, 32, ReqClass::IFetchDemand));
     h.run(10);
-    ASSERT_EQ(beats.size(), 4u);
-    EXPECT_EQ(beats[0], (std::pair<Addr, unsigned>{0x200, 8}));
-    EXPECT_EQ(beats[3], (std::pair<Addr, unsigned>{0x218, 8}));
+    ASSERT_EQ(h.demand.beats.size(), 4u);
+    EXPECT_EQ(h.demand.beats[0], (std::pair<Addr, unsigned>{0x200, 8}));
+    EXPECT_EQ(h.demand.beats[3], (std::pair<Addr, unsigned>{0x218, 8}));
 }
 
 TEST(MemorySystemTest, NarrowBusTakesTwiceTheBeats)
@@ -163,11 +173,10 @@ TEST(MemorySystemTest, NarrowBusTakesTwiceTheBeats)
     MemSystemConfig cfg;
     cfg.busWidthBytes = 4;
     Harness h(cfg);
-    std::vector<std::pair<Addr, unsigned>> beats;
     h.demand.queue.push_back(
-        makeIFetch(0x200, 32, ReqClass::IFetchDemand, &beats));
+        makeIFetch(0x200, 32, ReqClass::IFetchDemand));
     h.run(12);
-    EXPECT_EQ(beats.size(), 8u);
+    EXPECT_EQ(h.demand.beats.size(), 8u);
 }
 
 TEST(MemorySystemTest, InstructionPriorityConfigurable)
@@ -176,11 +185,9 @@ TEST(MemorySystemTest, InstructionPriorityConfigurable)
         MemSystemConfig cfg;
         cfg.instructionPriority = ipriority;
         Harness h(cfg);
-        std::vector<Word> got;
-        std::vector<std::pair<Addr, unsigned>> beats;
-        h.data.queue.push_back(makeLoad(0x10, 0, &got));
+        h.data.queue.push_back(makeLoad(0x10, 0));
         h.demand.queue.push_back(
-            makeIFetch(0x100, 4, ReqClass::IFetchDemand, &beats));
+            makeIFetch(0x100, 4, ReqClass::IFetchDemand));
         // One tick: exactly one of the two is accepted.
         h.sys.tick(h.now++);
         if (ipriority) {
@@ -198,11 +205,9 @@ TEST(MemorySystemTest, PrefetchAlwaysLoses)
     MemSystemConfig cfg;
     cfg.pipelined = true;
     Harness h(cfg);
-    std::vector<std::pair<Addr, unsigned>> beats;
     h.prefetch.queue.push_back(
-        makeIFetch(0x300, 4, ReqClass::IPrefetch, &beats));
-    std::vector<Word> got;
-    h.data.queue.push_back(makeLoad(0x10, 0, &got));
+        makeIFetch(0x300, 4, ReqClass::IPrefetch));
+    h.data.queue.push_back(makeLoad(0x10, 0));
     h.sys.tick(h.now++);
     EXPECT_EQ(h.data.acceptedCount, 1u);
     EXPECT_EQ(h.prefetch.acceptedCount, 0u);
@@ -216,14 +221,13 @@ TEST(MemorySystemTest, NonPipelinedSerialisesRequests)
     cfg.accessTime = 4;
     cfg.pipelined = false;
     Harness h(cfg);
-    std::vector<Word> got;
-    h.data.queue.push_back(makeLoad(0x10, 0, &got));
-    h.data.queue.push_back(makeLoad(0x14, 1, &got));
+    h.data.queue.push_back(makeLoad(0x10, 0));
+    h.data.queue.push_back(makeLoad(0x14, 1));
     h.run(2);
     EXPECT_EQ(h.data.acceptedCount, 1u); // second waits
     h.run(10);
     EXPECT_EQ(h.data.acceptedCount, 2u);
-    EXPECT_EQ(got.size(), 2u);
+    EXPECT_EQ(h.data.loaded.size(), 2u);
 }
 
 TEST(MemorySystemTest, PipelinedAcceptsEveryCycle)
@@ -232,13 +236,12 @@ TEST(MemorySystemTest, PipelinedAcceptsEveryCycle)
     cfg.accessTime = 4;
     cfg.pipelined = true;
     Harness h(cfg);
-    std::vector<Word> got;
     for (unsigned i = 0; i < 4; ++i)
-        h.data.queue.push_back(makeLoad(0x10 + 4 * i, i, &got));
+        h.data.queue.push_back(makeLoad(0x10 + 4 * i, i));
     h.run(4);
     EXPECT_EQ(h.data.acceptedCount, 4u);
     h.run(8);
-    EXPECT_EQ(got.size(), 4u);
+    EXPECT_EQ(h.data.loaded.size(), 4u);
 }
 
 TEST(MemorySystemTest, DataLoadsDeliverInProgramOrderAcrossFpu)
@@ -253,17 +256,8 @@ TEST(MemorySystemTest, DataLoadsDeliverInProgramOrderAcrossFpu)
     Harness h(cfg);
     h.dataMem.writeWord(0x20, 55);
 
-    std::vector<Word> order;
-    MemRequest fpu_read;
-    fpu_read.addr = FpuDevice::opResult(FpuOp::Add);
-    fpu_read.bytes = wordBytes;
-    fpu_read.cls = ReqClass::Data;
-    fpu_read.dataSeq = 0;
-    fpu_read.onData = [&](Word) { order.push_back(0); };
-    h.data.queue.push_back(fpu_read);
-    MemRequest mem_load = makeLoad(0x20, 1, nullptr);
-    mem_load.onData = [&](Word) { order.push_back(1); };
-    h.data.queue.push_back(mem_load);
+    h.data.queue.push_back(makeLoad(FpuDevice::opResult(FpuOp::Add), 0));
+    h.data.queue.push_back(makeLoad(0x20, 1));
     // Operand stores that start the FPU op (after the loads in
     // program order).
     h.data.queue.push_back(
@@ -272,6 +266,7 @@ TEST(MemorySystemTest, DataLoadsDeliverInProgramOrderAcrossFpu)
         makeStore(FpuDevice::opB(FpuOp::Add), std::bit_cast<Word>(2.0f)));
 
     h.run(30);
+    const auto &order = h.data.loadedSeqs;
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 0u);
     EXPECT_EQ(order[1], 1u);
@@ -284,8 +279,7 @@ TEST(MemorySystemTest, FpuStoreDoesNotOccupyExternalMemory)
     cfg.pipelined = false;
     Harness h(cfg);
     // A long external load in flight...
-    std::vector<Word> got;
-    h.data.queue.push_back(makeLoad(0x10, 0, &got));
+    h.data.queue.push_back(makeLoad(0x10, 0));
     h.sys.tick(h.now++);
     EXPECT_EQ(h.data.acceptedCount, 1u);
     // ...must not block a store routed to the FPU.
@@ -299,8 +293,7 @@ TEST(MemorySystemTest, QuiescentTracksOutstandingWork)
 {
     Harness h;
     EXPECT_TRUE(h.sys.quiescent());
-    std::vector<Word> got;
-    h.data.queue.push_back(makeLoad(0x10, 0, &got));
+    h.data.queue.push_back(makeLoad(0x10, 0));
     h.sys.tick(h.now++);
     EXPECT_FALSE(h.sys.quiescent());
     h.run(5);
@@ -321,12 +314,11 @@ TEST(MemorySystemTest, AccessTimeOneDeliversNextCycle)
     cfg.accessTime = 1;
     Harness h(cfg);
     h.dataMem.writeWord(0x10, 9);
-    std::vector<Word> got;
-    h.data.queue.push_back(makeLoad(0x10, 0, &got));
+    h.data.queue.push_back(makeLoad(0x10, 0));
     h.sys.tick(0); // accepted
-    EXPECT_TRUE(got.empty());
+    EXPECT_TRUE(h.data.loaded.empty());
     h.sys.tick(1); // delivered
-    ASSERT_EQ(got.size(), 1u);
+    ASSERT_EQ(h.data.loaded.size(), 1u);
 }
 
 TEST(MemorySystemTest, NonPipelinedSingleBeatSustainsOnePerTwoCycles)
@@ -339,9 +331,8 @@ TEST(MemorySystemTest, NonPipelinedSingleBeatSustainsOnePerTwoCycles)
     cfg.accessTime = 1;
     cfg.pipelined = false;
     Harness h(cfg);
-    std::vector<Word> got;
     for (unsigned i = 0; i < 4; ++i)
-        h.data.queue.push_back(makeLoad(0x10 + 4 * i, i, &got));
+        h.data.queue.push_back(makeLoad(0x10 + 4 * i, i));
     h.run(9);
-    EXPECT_EQ(got.size(), 4u);
+    EXPECT_EQ(h.data.loaded.size(), 4u);
 }

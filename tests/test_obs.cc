@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <sstream>
 
@@ -112,6 +113,52 @@ TEST(CpiStack, PartitionsEveryWorkloadAndStrategy)
             EXPECT_EQ(all - stack->component(obs::CycleClass::Drain),
                       std::uint64_t(res.totalCycles))
                 << strategy << " mem " << mem;
+        }
+    }
+}
+
+TEST(CpiStack, SplitPinnedToRecordedValues)
+{
+    // Every component of the stack, not just their sum, pinned to the
+    // values the probe-bus accountant produced (Livermore at scale
+    // 0.05, 64-byte caches, bus 4): the pipeline now feeds the stack
+    // directly and the memory system's per-tick demand-fetch flag
+    // decides the fetch_starve / bus_contention split.
+    struct Pinned
+    {
+        const char *strategy;
+        bool instructionPriority;
+        unsigned accessTime;
+        std::array<std::uint64_t, obs::numCycleClasses> cycles;
+    };
+    // issue, fetch_starve, load_data_wait, queue_full, reg_busy,
+    // bus_contention, drain
+    const Pinned pinned[] = {
+        {"16-16", true, 1, {7905, 828, 2215, 0, 0, 0, 6}},
+        {"16-16", true, 6, {7905, 8721, 7682, 0, 0, 847, 23}},
+        {"16-16", false, 1, {7905, 2181, 1335, 0, 0, 201, 7}},
+        {"16-16", false, 6, {7905, 10439, 3414, 0, 0, 4641, 2}},
+        {"conv", true, 1, {7905, 5128, 609, 0, 0, 68, 2}},
+        {"conv", true, 6, {7905, 33675, 1621, 0, 0, 4923, 11}},
+        {"conv", false, 1, {7905, 5393, 344, 0, 0, 2274, 2}},
+        {"conv", false, 6, {7905, 33520, 1376, 0, 0, 6119, 11}},
+        {"tib", true, 1, {7905, 738, 2213, 0, 0, 0, 10}},
+        {"tib", true, 6, {7905, 10366, 7879, 0, 0, 674, 30}},
+        {"tib", false, 1, {7905, 2150, 1319, 0, 0, 229, 6}},
+        {"tib", false, 6, {7905, 12566, 1893, 0, 0, 6223, 16}},
+    };
+    static const auto bench = workloads::buildLivermoreBenchmark(0.05);
+    for (const Pinned &p : pinned) {
+        SimConfig cfg = configFor(p.strategy, 64, p.accessTime);
+        cfg.mem.instructionPriority = p.instructionPriority;
+        const SimResult res = runSimulation(cfg, bench.program);
+        for (unsigned c = 0; c < obs::numCycleClasses; ++c) {
+            const std::string name =
+                std::string("cpi_stack.") +
+                obs::cycleClassName(obs::CycleClass(c));
+            EXPECT_EQ(res.counter(name), p.cycles[c])
+                << name << " for " << p.strategy << ", priority "
+                << p.instructionPriority << ", mem " << p.accessTime;
         }
     }
 }

@@ -5,6 +5,7 @@
 
 #include "assembler/assembler.hh"
 #include "sim/simulator.hh"
+#include "workloads/benchmark_program.hh"
 
 using namespace pipesim;
 
@@ -170,4 +171,43 @@ TEST(SimulatorTest, StatsDumpIsPopulated)
     EXPECT_NE(dump.find("cpu.retired"), std::string::npos);
     EXPECT_NE(dump.find("fetch."), std::string::npos);
     EXPECT_NE(dump.find("mem."), std::string::npos);
+}
+
+TEST(SimulatorTest, HandTickedLoopEqualsRun)
+{
+    // A caller may drive the three component ticks itself (a traced
+    // or instrumented loop does) and must get exactly what run()
+    // gets: every per-cycle side effect, the CPI-stack accounting
+    // included, lives inside the component ticks.
+    static const auto bench = workloads::buildLivermoreBenchmark(0.03);
+    const FetchConfig fetches[] = {pipeConfigFor("16-16", 64),
+                                   conventionalConfigFor(64, 16),
+                                   tibConfigFor(64, 16)};
+    for (const FetchConfig &fetch : fetches) {
+        for (bool ipriority : {true, false}) {
+            SimConfig cfg;
+            cfg.fetch = fetch;
+            cfg.mem.accessTime = 6;
+            cfg.mem.instructionPriority = ipriority;
+            const std::string what =
+                cfg.fetchName() + (ipriority ? " ipriority" : " dpriority");
+
+            const SimResult want = runSimulation(cfg, bench.program);
+
+            Simulator sim(cfg, bench.program);
+            Cycle now = 0;
+            while (!sim.done()) {
+                ASSERT_LT(now, cfg.maxCycles) << what;
+                sim.fetchUnit().tick(now);
+                sim.memorySystem().tick(now);
+                sim.pipeline().tick(now);
+                ++now;
+            }
+            const SimResult got = sim.result();
+            EXPECT_EQ(got.totalCycles, want.totalCycles) << what;
+            EXPECT_EQ(got.instructions, want.instructions) << what;
+            EXPECT_EQ(got.counters, want.counters) << what;
+            EXPECT_GT(got.counter("cpi_stack.issue"), 0u) << what;
+        }
+    }
 }
