@@ -1,6 +1,7 @@
 #include "assembler/assembler.hh"
 
 #include <bit>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -320,8 +321,7 @@ AssemblerImpl::processDirective(const std::vector<Token> &toks,
             // sign; recover it from the token text.
             if (!toks[i].text.empty() && toks[i].text[0] == '-')
                 neg = true;
-            v = double(toks[i].value < 0 ? -toks[i].value
-                                         : toks[i].value);
+            v = std::fabs(double(toks[i].value));
             ++i;
             if (toks[i].kind == TokenKind::Directive) {
                 // ".5" style fraction lexed as a directive token.
@@ -465,7 +465,9 @@ AssemblerImpl::parseOperand(const std::vector<Token> &toks, std::size_t &i,
             ++i;
         } else if (toks[i].kind == TokenKind::Int) {
             op.kind = Operand::Kind::MemImm;
-            op.imm = negative ? -toks[i].value : toks[i].value;
+            // Negated unsigned: INT64_MIN has no positive twin.
+            op.imm = negative ? std::int64_t(0 - std::uint64_t(toks[i].value))
+                              : toks[i].value;
             ++i;
         } else if (toks[i].kind == TokenKind::Ident) {
             op.kind = Operand::Kind::MemImm;

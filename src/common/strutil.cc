@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdint>
+#include <limits>
 
 namespace pipesim
 {
@@ -84,7 +86,12 @@ parseInt(std::string_view s)
     if (s.empty())
         return std::nullopt;
 
-    std::int64_t value = 0;
+    // Accumulate the magnitude unsigned and reject it once it passes
+    // the int64 range (INT64_MIN's magnitude is one more than
+    // INT64_MAX's), instead of wrapping.
+    const std::uint64_t limit =
+        std::uint64_t(std::numeric_limits<std::int64_t>::max()) + neg;
+    std::uint64_t value = 0;
     for (char c : s) {
         int digit;
         if (c >= '0' && c <= '9')
@@ -97,9 +104,12 @@ parseInt(std::string_view s)
             return std::nullopt;
         if (digit >= base)
             return std::nullopt;
-        value = value * base + digit;
+        if (value > (limit - std::uint64_t(digit)) / std::uint64_t(base))
+            return std::nullopt;
+        value = value * std::uint64_t(base) + std::uint64_t(digit);
     }
-    return neg ? -value : value;
+    // Two's-complement negation of the magnitude, done unsigned.
+    return std::int64_t(neg ? 0 - value : value);
 }
 
 std::string

@@ -5,6 +5,7 @@
 
 #include "common/log.hh"
 #include "isa/opcodes.hh"
+#include "replay/trace_format.hh"
 
 namespace pipesim
 {
@@ -13,10 +14,13 @@ using isa::Cond;
 using isa::Opcode;
 
 Pipeline::Pipeline(const PipelineConfig &config, FetchUnit &fetch,
-                   MemorySystem &mem)
-    : _cfg(config), _fetch(fetch), _mem(mem), _dataPort(*this),
+                   MemorySystem &mem, const replay::Trace *trace,
+                   std::size_t firstRecord)
+    : _cfg(config), _fetch(fetch), _mem(mem), _trace(trace),
+      _dataPort(*this),
       _queues(config.laqEntries, config.ldqEntries, config.saqEntries,
-              config.sdqEntries)
+              config.sdqEntries),
+      _cursor(firstRecord)
 {
     _mem.setDataClient(&_dataPort);
     _loadReq.bytes = _storeReq.bytes = wordBytes;
@@ -35,69 +39,47 @@ Pipeline::drained() const
            _queues.sdq().empty() && _loadsIssued == _loadsDelivered;
 }
 
-const MemRequest *
-Pipeline::peekDataOp()
+bool
+Pipeline::loadIsNext() const
 {
     const auto &laq = _queues.laq();
     const auto &saq = _queues.saq();
-    const bool have_load = !laq.empty();
-    const bool have_store = !saq.empty();
-    if (!have_load && !have_store)
-        return nullptr;
-
-    bool pick_load;
-    if (have_load && have_store)
-        pick_load = laq.front().seq < saq.front().seq;
-    else
-        pick_load = have_load;
-
-    if (pick_load) {
-        _loadReq.addr = laq.front().addr;
-        _loadReq.dataSeq = _loadsAccepted;
-        return &_loadReq;
-    }
-    // A store needs its data; program order blocks behind it until
-    // the SDQ entry is produced.
-    if (_queues.sdq().empty())
-        return nullptr;
-    _storeReq.addr = saq.front().addr;
-    _storeReq.storeData = _queues.sdq().front();
-    return &_storeReq;
-}
-
-void
-Pipeline::dataOpAccepted()
-{
-    auto &laq = _queues.laq();
-    auto &saq = _queues.saq();
-    const bool have_load = !laq.empty();
-    const bool have_store = !saq.empty();
-    PIPESIM_ASSERT(have_load || have_store, "acceptance with empty queues");
-    bool pick_load;
-    if (have_load && have_store)
-        pick_load = laq.front().seq < saq.front().seq;
-    else
-        pick_load = have_load;
-
-    if (pick_load) {
-        laq.pop();
-        ++_loadsAccepted;
-    } else {
-        saq.pop();
-        _queues.sdq().pop();
-    }
+    if (laq.empty() || saq.empty())
+        return !laq.empty();
+    return laq.front().seq < saq.front().seq;
 }
 
 const MemRequest *
 Pipeline::DataPort::peek()
 {
-    return _owner.peekDataOp();
+    ArchQueues &q = _owner._queues;
+    if (_owner.loadIsNext()) {
+        _owner._loadReq.addr = q.laq().front().addr;
+        _owner._loadReq.dataSeq = _owner._loadsAccepted;
+        return &_owner._loadReq;
+    }
+    // A store needs its data; program order blocks behind it until
+    // the SDQ entry is produced.
+    if (q.saq().empty() || q.sdq().empty())
+        return nullptr;
+    _owner._storeReq.addr = q.saq().front().addr;
+    _owner._storeReq.storeData = q.sdq().front();
+    return &_owner._storeReq;
 }
 
 void
 Pipeline::DataPort::accepted()
 {
-    _owner.dataOpAccepted();
+    ArchQueues &q = _owner._queues;
+    PIPESIM_ASSERT(!q.laq().empty() || !q.saq().empty(),
+                   "acceptance with empty queues");
+    if (_owner.loadIsNext()) {
+        q.laq().pop();
+        ++_owner._loadsAccepted;
+    } else {
+        q.saq().pop();
+        q.sdq().pop();
+    }
 }
 
 void
@@ -165,6 +147,8 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
     const isa::Instruction &inst = fi.inst;
     const auto &info = isa::opcodeInfo(inst.op);
 
+    // Source reads pop the LDQ for r7 under either value source (the
+    // hazard check already proved it holds enough entries).
     Word a = 0;
     Word b = 0;
     if (info.hasRs1 || (inst.op == Opcode::Pbr && inst.cond != Cond::Always))
@@ -172,102 +156,153 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
     if (info.hasRs2)
         b = readSource(inst.rs2);
 
-    _execNote = ExecAnnotation{};
+    const Outcome o = _trace ? traced(fi) : compute(inst, a, b);
 
-    const Word imm = Word(inst.imm);
-    // Logical immediates are zero-extended (so lui+ori can build full
-    // 32-bit constants); arithmetic immediates are sign-extended.
-    const Word uimm = imm & 0xffff;
-    std::optional<Word> result;
-
+    // The commit step, shared by both value sources.
     switch (inst.op) {
-      case Opcode::Add: result = a + b; break;
-      case Opcode::Sub: result = a - b; break;
-      case Opcode::And: result = a & b; break;
-      case Opcode::Or: result = a | b; break;
-      case Opcode::Xor: result = a ^ b; break;
-      case Opcode::Sll: result = a << (b & 31); break;
-      case Opcode::Srl: result = a >> (b & 31); break;
-      case Opcode::Sra: result = Word(SWord(a) >> (b & 31)); break;
-      case Opcode::Addi: result = a + imm; break;
-      case Opcode::Subi: result = a - imm; break;
-      case Opcode::Andi: result = a & uimm; break;
-      case Opcode::Ori: result = a | uimm; break;
-      case Opcode::Xori: result = a ^ uimm; break;
-      case Opcode::Slli: result = a << (imm & 31); break;
-      case Opcode::Srli: result = a >> (imm & 31); break;
-      case Opcode::Srai: result = Word(SWord(a) >> (imm & 31)); break;
-      case Opcode::Li: result = imm; break;
-      case Opcode::Lui: result = imm << 16; break;
-      case Opcode::Mov: result = a; break;
-      case Opcode::Not: result = ~a; break;
-      case Opcode::Neg: result = Word(-SWord(a)); break;
       case Opcode::Ld:
-      case Opcode::LdX: {
-        const Addr addr = a + (inst.op == Opcode::Ld ? imm : b);
-        _queues.laq().push(PendingAccess{_memOpSeq++, addr});
+      case Opcode::LdX:
+        _queues.laq().push(PendingAccess{_memOpSeq++, o.memAddr});
         ++_loadsIssued;
         ++_loads;
-        _execNote.hasMemAddr = true;
-        _execNote.memAddr = addr;
         break;
-      }
       case Opcode::St:
-      case Opcode::StX: {
-        const Addr addr = a + (inst.op == Opcode::St ? imm : b);
-        _queues.saq().push(PendingAccess{_memOpSeq++, addr});
+      case Opcode::StX:
+        _queues.saq().push(PendingAccess{_memOpSeq++, o.memAddr});
         ++_stores;
-        _execNote.hasMemAddr = true;
-        _execNote.memIsStore = true;
-        _execNote.memAddr = addr;
         break;
-      }
-      case Opcode::Lbr:
-        _regs.writeBranch(inst.br, Addr(inst.imm) & 0xffff);
-        break;
-      case Opcode::Pbr: {
-        bool taken = false;
-        const SWord v = SWord(a);
-        switch (inst.cond) {
-          case Cond::Always: taken = true; break;
-          case Cond::Eqz: taken = v == 0; break;
-          case Cond::Nez: taken = v != 0; break;
-          case Cond::Ltz: taken = v < 0; break;
-          case Cond::Gez: taken = v >= 0; break;
-          case Cond::Gtz: taken = v > 0; break;
-          case Cond::Lez: taken = v <= 0; break;
-        }
-        if (taken)
+      case Opcode::Pbr:
+        if (o.taken)
             ++_pbrTaken;
         else
             ++_pbrNotTaken;
-        _pendingResolve = Resolve{taken, _regs.readBranch(inst.br)};
-        _execNote.hasBranch = true;
-        _execNote.branchTaken = taken;
-        _execNote.branchTarget = _pendingResolve->target;
+        _pendingResolve = Resolve{o.taken, o.target};
         break;
-      }
       case Opcode::Rsw:
+        // Bank switches redirect which busy-until slots later reads
+        // check, so they are timing state under either value source.
         _regs.switchBanks();
-        break;
-      case Opcode::Nop:
         break;
       case Opcode::Halt:
         _halted = true;
         _haltCycle = now;
         break;
       default:
-        panic("unexecutable opcode ", unsigned(inst.op));
+        break;
     }
 
-    if (result && info.hasRd) {
+    if (info.hasRd) {
         if (inst.rd == isa::queueReg) {
-            _queues.sdq().push(*result);
+            _queues.sdq().push(o.result);
         } else {
-            _regs.write(inst.rd, *result);
+            _regs.write(inst.rd, o.result);
             _regs.setBusyUntil(inst.rd, now + _cfg.aluLatency);
         }
     }
+
+    ++_cursor;
+    _retiredPcs[_retired.value() % _retiredPcs.size()] = fi.pc;
+    ++_retired;
+    if (_probes && _probes->retire.active())
+        _probes->retire.notify(obs::RetireEvent{
+            now, fi, info.isLoad || info.isStore, info.isStore,
+            o.memAddr, inst.isPbr(), o.taken, o.target});
+}
+
+Pipeline::Outcome
+Pipeline::compute(const isa::Instruction &inst, Word a, Word b)
+{
+    const Word imm = Word(inst.imm);
+    // Logical immediates are zero-extended (so lui+ori can build full
+    // 32-bit constants); arithmetic immediates are sign-extended.
+    const Word uimm = imm & 0xffff;
+    Outcome o;
+
+    switch (inst.op) {
+      case Opcode::Add: o.result = a + b; break;
+      case Opcode::Sub: o.result = a - b; break;
+      case Opcode::And: o.result = a & b; break;
+      case Opcode::Or: o.result = a | b; break;
+      case Opcode::Xor: o.result = a ^ b; break;
+      case Opcode::Sll: o.result = a << (b & 31); break;
+      case Opcode::Srl: o.result = a >> (b & 31); break;
+      case Opcode::Sra: o.result = Word(SWord(a) >> (b & 31)); break;
+      case Opcode::Addi: o.result = a + imm; break;
+      case Opcode::Subi: o.result = a - imm; break;
+      case Opcode::Andi: o.result = a & uimm; break;
+      case Opcode::Ori: o.result = a | uimm; break;
+      case Opcode::Xori: o.result = a ^ uimm; break;
+      case Opcode::Slli: o.result = a << (imm & 31); break;
+      case Opcode::Srli: o.result = a >> (imm & 31); break;
+      case Opcode::Srai: o.result = Word(SWord(a) >> (imm & 31)); break;
+      case Opcode::Li: o.result = imm; break;
+      case Opcode::Lui: o.result = imm << 16; break;
+      case Opcode::Mov: o.result = a; break;
+      case Opcode::Not: o.result = ~a; break;
+      case Opcode::Neg: o.result = Word(-SWord(a)); break;
+      case Opcode::Ld:
+      case Opcode::St: o.memAddr = a + imm; break;
+      case Opcode::LdX:
+      case Opcode::StX: o.memAddr = a + b; break;
+      case Opcode::Lbr:
+        _regs.writeBranch(inst.br, Addr(inst.imm) & 0xffff);
+        break;
+      case Opcode::Pbr: {
+        const SWord v = SWord(a);
+        switch (inst.cond) {
+          case Cond::Always: o.taken = true; break;
+          case Cond::Eqz: o.taken = v == 0; break;
+          case Cond::Nez: o.taken = v != 0; break;
+          case Cond::Ltz: o.taken = v < 0; break;
+          case Cond::Gez: o.taken = v >= 0; break;
+          case Cond::Gtz: o.taken = v > 0; break;
+          case Cond::Lez: o.taken = v <= 0; break;
+        }
+        o.target = _regs.readBranch(inst.br);
+        break;
+      }
+      case Opcode::Rsw:
+      case Opcode::Nop:
+      case Opcode::Halt:
+        break;
+      default:
+        panic("unexecutable opcode ", unsigned(inst.op));
+    }
+    return o;
+}
+
+bool
+Pipeline::traceExhausted() const
+{
+    return _trace && _cursor >= _trace->records.size();
+}
+
+Pipeline::Outcome
+Pipeline::traced(const isa::FetchedInst &fi) const
+{
+    const auto provenance = [this] {
+        return _trace->meta.provenance.empty() ? "none"
+                                               : _trace->meta.provenance;
+    };
+    if (_cursor >= _trace->records.size())
+        fatal("trace replay: the fetch stream issued instruction #",
+              _cursor, " at pc 0x", std::hex, fi.pc, std::dec,
+              " but the trace holds only ", _trace->records.size(),
+              " records — the trace does not match this program "
+              "(capture provenance: ",
+              provenance(), ")");
+    const replay::TraceRecord &r = _trace->records[_cursor];
+    const isa::Instruction &inst = fi.inst;
+    if (r.pc != fi.pc ||
+        r.hasMemAddr != (inst.isLoad() || inst.isStore()) ||
+        r.memIsStore != inst.isStore() || r.isPbr != inst.isPbr())
+        fatal("trace replay diverged at record #", _cursor,
+              ": trace says pc 0x", std::hex, r.pc,
+              " but the machine issued pc 0x", fi.pc, std::dec,
+              " — the trace was captured from a different program "
+              "(capture provenance: ",
+              provenance(), ")");
+    return Outcome{0, r.memAddr, r.branchTaken, r.branchTarget};
 }
 
 void
@@ -302,17 +337,8 @@ Pipeline::tick(Cycle now)
         switch (hazard) {
           case StallReason::None:
             execute(*_issueLatch, now);
-            _retiredPcs[_retired.value() % _retiredPcs.size()] =
-                _issueLatch->pc;
-            ++_retired;
             cls = _halted ? obs::CycleClass::Drain
                           : obs::CycleClass::Issue;
-            if (_probes && _probes->retire.active())
-                _probes->retire.notify(obs::RetireEvent{
-                    now, *_issueLatch, _execNote.hasMemAddr,
-                    _execNote.memIsStore, _execNote.memAddr,
-                    _execNote.hasBranch, _execNote.branchTaken,
-                    _execNote.branchTarget});
             _issueLatch.reset();
             break;
           case StallReason::RegBusy:
@@ -370,6 +396,9 @@ Pipeline::dumpState(std::ostream &os) const
        << ", retired " << _retired.value() << " instruction(s)";
     if (_halted)
         os << " (HALT issued at cycle " << _haltCycle << ")";
+    if (_trace)
+        os << ", next trace record #" << _cursor << " of "
+           << _trace->records.size();
     os << "\n";
     const auto latch = [&os](const char *name,
                              const std::optional<isa::FetchedInst> &l) {
@@ -395,6 +424,117 @@ Pipeline::dumpState(std::ostream &os) const
     os << "  loads issued/accepted/delivered: " << _loadsIssued << "/"
        << _loadsAccepted << "/" << _loadsDelivered << "\n";
     os.flags(flags);
+}
+
+namespace
+{
+
+/**
+ * Latches serialize the full decoded instruction, not just the pc:
+ * the fetch unit can run ahead of a taken branch or past the code
+ * image and latch an instruction the pipeline will squash without
+ * executing, so re-decoding from the Program on restore would reject
+ * a state the live machine legitimately held.
+ */
+void
+saveLatch(StateWriter &w, const std::optional<isa::FetchedInst> &latch)
+{
+    w.b(latch.has_value());
+    if (!latch)
+        return;
+    w.u32(latch->pc);
+    const isa::Instruction &i = latch->inst;
+    w.u8(std::uint8_t(i.op));
+    w.u8(i.rd);
+    w.u8(i.rs1);
+    w.u8(i.rs2);
+    w.u8(i.br);
+    w.u8(i.count);
+    w.u8(std::uint8_t(i.cond));
+    w.u32(std::uint32_t(i.imm));
+    w.u8(i.parcels);
+}
+
+void
+restoreLatch(StateReader &r, std::optional<isa::FetchedInst> &latch)
+{
+    latch.reset();
+    if (!r.b())
+        return;
+    isa::FetchedInst fi;
+    fi.pc = r.u32();
+    const std::uint8_t op = r.u8();
+    if (op >= std::uint8_t(isa::Opcode::NumOpcodes))
+        r.fail("latched opcode ", unsigned(op), " out of range");
+    fi.inst.op = isa::Opcode(op);
+    fi.inst.rd = r.u8();
+    fi.inst.rs1 = r.u8();
+    fi.inst.rs2 = r.u8();
+    fi.inst.br = r.u8();
+    fi.inst.count = r.u8();
+    const std::uint8_t cond = r.u8();
+    if (cond > std::uint8_t(isa::Cond::Lez))
+        r.fail("latched condition ", unsigned(cond), " out of range");
+    fi.inst.cond = isa::Cond(cond);
+    fi.inst.imm = std::int32_t(r.u32());
+    fi.inst.parcels = r.u8();
+    latch = fi;
+}
+
+} // namespace
+
+void
+Pipeline::saveState(StateWriter &w) const
+{
+    _regs.saveState(w);
+    _queues.saveState(w);
+    saveLatch(w, _idLatch);
+    saveLatch(w, _issueLatch);
+    w.b(_pendingResolve.has_value());
+    if (_pendingResolve) {
+        w.b(_pendingResolve->taken);
+        w.u32(_pendingResolve->target);
+    }
+    w.b(_halted);
+    w.u64(_haltCycle);
+    w.u64(_cursor);
+    for (Addr pc : _retiredPcs)
+        w.u32(pc);
+    w.u64(_memOpSeq);
+    w.u64(_loadsAccepted);
+    w.u64(_loadsIssued);
+    w.u64(_loadsDelivered);
+    for (const Counter *c : counters(*this))
+        w.u64(c->value());
+}
+
+void
+Pipeline::restoreState(StateReader &r)
+{
+    _regs.restoreState(r);
+    _queues.restoreState(r);
+    restoreLatch(r, _idLatch);
+    restoreLatch(r, _issueLatch);
+    _pendingResolve.reset();
+    if (r.b()) {
+        Resolve res;
+        res.taken = r.b();
+        res.target = r.u32();
+        _pendingResolve = res;
+    }
+    _halted = r.b();
+    _haltCycle = r.u64();
+    _cursor = r.u64();
+    if (_trace && _cursor > _trace->records.size())
+        r.fail("cursor ", _cursor, " past trace end");
+    for (Addr &pc : _retiredPcs)
+        pc = r.u32();
+    _memOpSeq = r.u64();
+    _loadsAccepted = r.u64();
+    _loadsIssued = r.u64();
+    _loadsDelivered = r.u64();
+    for (Counter *c : counters(*this))
+        c->set(r.u64());
 }
 
 void

@@ -8,6 +8,16 @@
  * point through the memory-mapped FPU), so kernel outputs can be
  * validated against host references while cycle counts are measured.
  *
+ * Timing depends on data values through exactly three channels: a
+ * PBR's direction and target, a load/store's effective address, and
+ * HALT (which follows from the opcode).  Each issued instruction
+ * therefore produces an Outcome from one of two value sources — the
+ * executing path computes it, a trace value source reads it from the
+ * captured record (docs/trace_replay.md) — and one commit step turns
+ * the Outcome into queue, register-timing and branch state.  Trace
+ * replay is bit-exact because everything but the value source is the
+ * same code.
+ *
  * Issue semantics (the timing-relevant part):
  *  - one instruction issues per cycle, in order;
  *  - reading r7 pops the Load Data Queue and stalls while it is
@@ -35,6 +45,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/state_io.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/fetch_unit.hh"
@@ -47,6 +58,11 @@
 
 namespace pipesim
 {
+
+namespace replay
+{
+struct Trace;
+} // namespace replay
 
 /** Processor-side configuration. */
 struct PipelineConfig
@@ -61,8 +77,17 @@ struct PipelineConfig
 class Pipeline
 {
   public:
+    /**
+     * @param trace Optional trace value source.  Null: instructions
+     *              execute.  Non-null: each issued instruction consumes
+     *              the next record, from @p firstRecord on, and takes
+     *              its effective address and branch outcome from it;
+     *              no value is computed.  Which engine builds the
+     *              pipeline decides this, not a user option.
+     */
     Pipeline(const PipelineConfig &config, FetchUnit &fetch,
-             MemorySystem &mem);
+             MemorySystem &mem, const replay::Trace *trace = nullptr,
+             std::size_t firstRecord = 0);
     ~Pipeline();
 
     Pipeline(const Pipeline &) = delete;
@@ -81,6 +106,15 @@ class Pipeline
 
     /** Cycle at which HALT issued (valid once halted()). */
     Cycle haltCycle() const { return _haltCycle; }
+
+    /**
+     * Index of the next instruction of the dynamic stream: under a
+     * trace value source, the next unconsumed record.
+     */
+    std::size_t cursor() const { return _cursor; }
+
+    /** @return true once a trace value source issued every record. */
+    bool traceExhausted() const;
 
     RegFile &regs() { return _regs; }
     const RegFile &regs() const { return _regs; }
@@ -107,6 +141,17 @@ class Pipeline
     void dumpState(std::ostream &os) const;
 
     void regStats(StatGroup &stats, const std::string &prefix);
+
+    /** Serialize the pipeline's full state for a checkpoint. */
+    void saveState(StateWriter &w) const;
+
+    /**
+     * Restore state saved by saveState().  Latched instructions
+     * carry their full decoding in the snapshot (a latch may hold a
+     * speculatively fetched instruction from outside the code image,
+     * squashed before execution, so the program cannot re-decode it).
+     */
+    void restoreState(StateReader &r);
 
   private:
     /**
@@ -137,16 +182,48 @@ class Pipeline
         SaqFull,
     };
 
+    /**
+     * The value channels of one issued instruction (the Pipe_Op
+     * record): computed by the executing path, or read from the trace
+     * record, then committed by the same code in execute().
+     */
+    struct Outcome
+    {
+        Word result = 0;    //!< ALU result (0 under a trace source)
+        Addr memAddr = 0;   //!< effective address of a load/store
+        bool taken = false; //!< PBR direction
+        Addr target = 0;    //!< PBR target
+    };
+
     StallReason issueHazard(const isa::Instruction &inst, Cycle now) const;
     void execute(const isa::FetchedInst &fi, Cycle now);
     Word readSource(unsigned r);
+    Outcome compute(const isa::Instruction &inst, Word a, Word b);
+    Outcome traced(const isa::FetchedInst &fi) const;
 
-    const MemRequest *peekDataOp();
-    void dataOpAccepted();
+    /** @return true if the oldest pending memory op is a load. */
+    bool loadIsNext() const;
+
+    /** Every statistics counter, in checkpoint order. */
+    template <class Self>
+    static auto
+    counters(Self &self)
+    {
+        return std::array{&self._retired, &self._issueStallRegBusy,
+                          &self._issueStallLdqEmpty,
+                          &self._issueStallSdqFull,
+                          &self._issueStallLaqFull,
+                          &self._issueStallLdqReserved,
+                          &self._issueStallSaqFull,
+                          &self._fetchStarveCycles, &self._loads,
+                          &self._stores, &self._pbrTaken,
+                          &self._pbrNotTaken};
+    }
 
     PipelineConfig _cfg;
     FetchUnit &_fetch;
     MemorySystem &_mem;
+    const replay::Trace *_trace;
     DataPort _dataPort;
 
     RegFile _regs;
@@ -162,29 +239,13 @@ class Pipeline
     };
     std::optional<Resolve> _pendingResolve;
 
-    /**
-     * Trace-relevant outcomes of the most recent execute(), copied
-     * into the RetireEvent emitted for that instruction (the effective
-     * address and branch resolution are computed inside execute() and
-     * are otherwise invisible to listeners).
-     */
-    struct ExecAnnotation
-    {
-        bool hasMemAddr = false;
-        bool memIsStore = false;
-        Addr memAddr = 0;
-        bool hasBranch = false;
-        bool branchTaken = false;
-        Addr branchTarget = 0;
-    };
-    ExecAnnotation _execNote;
-
     /** The data port's candidates, refreshed by every peek. */
     MemRequest _loadReq;
     MemRequest _storeReq;
 
     bool _halted = false;
     Cycle _haltCycle = 0;
+    std::size_t _cursor;
     obs::ProbeBus *_probes = nullptr;
     obs::CpiStack *_cpiStack = nullptr;
 

@@ -13,6 +13,20 @@ CpiStack::component(CycleClass cls) const
     return _components[unsigned(cls)].value();
 }
 
+void
+CpiStack::saveState(StateWriter &w) const
+{
+    for (const Counter &c : _components)
+        w.u64(c.value());
+}
+
+void
+CpiStack::restoreState(StateReader &r)
+{
+    for (Counter &c : _components)
+        c.set(r.u64());
+}
+
 std::uint64_t
 CpiStack::accountedCycles() const
 {

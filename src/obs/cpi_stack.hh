@@ -24,6 +24,7 @@
 #include <array>
 #include <string>
 
+#include "common/state_io.hh"
 #include "common/stats.hh"
 #include "obs/probe.hh"
 
@@ -64,6 +65,10 @@ class CpiStack
 
     /** Render the breakdown as an aligned table with percentages. */
     std::string table() const;
+
+    /** Checkpoint the components (Simulator::saveState). */
+    void saveState(StateWriter &w) const;
+    void restoreState(StateReader &r);
 
   private:
     std::array<Counter, numCycleClasses> _components;

@@ -8,7 +8,7 @@
  * window of one (trace, program, machine configuration, sampling
  * parameters) tuple: for each planned window, the complete serialized
  * state of the replayed machine at the end of the window's warm-up
- * (ReplayMachine::saveState) plus the shared DataMemory's dirty
+ * (Simulator::saveState) plus the shared DataMemory's dirty
  * pages.  A later sampled replay of the same tuple restores each
  * window from its snapshot and runs only the measured instructions —
  * the TurboSMARTSim "live-points" idea — making the windows
@@ -48,8 +48,12 @@
 namespace pipesim::replay
 {
 
-/** Current (and only) checkpoint format version. */
-inline constexpr std::uint32_t checkpointFormatVersion = 1;
+/**
+ * Current (and only) checkpoint format version.  Version 2: the
+ * payload is Simulator::saveState, which adds the retired-PC ring
+ * and the CPI stack's components to version 1's replay-machine state.
+ */
+inline constexpr std::uint32_t checkpointFormatVersion = 2;
 
 /** Checkpoint identity: the cache key plus provenance. */
 struct CheckpointMeta

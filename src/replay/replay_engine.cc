@@ -4,7 +4,9 @@
 #include <array>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,19 +18,18 @@
 #include "obs/metrics.hh"
 #include "obs/profiler.hh"
 #include "replay/checkpoint.hh"
-#include "replay/replay_machine.hh"
 
 namespace pipesim::replay
 {
 
-// Cancellation note: every tick loop below calls
-// ReplayMachine::watchdogs(config), which — in addition to the
-// simulated-time watchdogs — polls the sweep's per-point cancel flag
-// (SimConfig::cancelFlag, throwing TimeoutAbort) and the guard's
-// shutdown flag (throwing InterruptedError).  Under the pooled window
-// passes those exceptions are captured in each window's std::future
-// and rethrown at the plan-order collection point, so a deadline or a
-// SIGINT never strands a worker mid-window.
+// Cancellation note: every replayed machine is a Simulator driven by
+// Simulator::runUntil, whose per-cycle watchdog check — in addition
+// to the simulated-time watchdogs — polls the sweep's per-point
+// cancel flag (SimConfig::cancelFlag, throwing TimeoutAbort) and the
+// guard's shutdown flag (throwing InterruptedError).  Under the
+// pooled window passes those exceptions are captured in each window's
+// std::future and rethrown at the plan-order collection point, so a
+// deadline or a SIGINT never strands a worker mid-window.
 
 namespace
 {
@@ -59,22 +60,15 @@ replayExact(const SimConfig &config, const Program &program,
     obs::ScopedPhase phase("replay.exact", obs::Scope::Coarse);
     DataMemory dataMem;
     dataMem.loadProgram(program);
-    ReplayMachine m(config, program, trace, 0, dataMem);
-    while (!m.done()) {
-        m.step();
-        m.watchdogs(config);
-    }
-    if (!m.pipe.traceExhausted())
-        fatal("trace replay halted after ", m.pipe.cursor(),
+    Simulator sim(config, program, dataMem, &trace);
+    sim.runUntil(std::numeric_limits<std::size_t>::max());
+    if (!sim.pipeline().traceExhausted())
+        fatal("trace replay halted after ", sim.pipeline().cursor(),
               " instructions but the trace holds ",
               trace.records.size(),
               " — the trace does not match this program");
 
-    SimResult r;
-    r.totalCycles = m.pipe.haltCycle();
-    r.instructions = m.pipe.instructionsRetired();
-    for (const auto &name : m.stats.counterNames())
-        r.counters.emplace(name, m.stats.counterValue(name));
+    SimResult r = sim.result();
     r.meta["engine"] = "trace-exact";
     r.meta["trace_sha256"] = trace.sha256;
     r.meta["program_sha256"] = trace.meta.programSha256;
@@ -105,17 +99,14 @@ struct WindowOutcome
 /** Advance @p m to @p warmEnd (detailed warm-up).  @return false when
  *  the trace ran out first. */
 bool
-runWarmup(ReplayMachine &m, const SimConfig &config,
-          std::size_t warmEnd, bool prof, WindowOutcome &out)
+runWarmup(Simulator &m, std::size_t warmEnd, bool prof,
+          WindowOutcome &out)
 {
     const std::uint64_t startNs = prof ? obs::profileNowNs() : 0;
-    while (m.pipe.cursor() < warmEnd && !m.done()) {
-        m.step();
-        m.watchdogs(config);
-    }
+    m.runUntil(warmEnd);
     if (prof)
         out.warmNs = obs::profileNowNs() - startNs;
-    if (m.pipe.cursor() < warmEnd) {
+    if (m.pipeline().cursor() < warmEnd) {
         out.warmIncomplete = true;
         return false;
     }
@@ -125,60 +116,97 @@ runWarmup(ReplayMachine &m, const SimConfig &config,
 /** Run the measured span of @p win on a machine already positioned at
  *  its warm end, filling the outcome's deltas. */
 void
-runMeasure(ReplayMachine &m, const SimConfig &config,
-           const SampleWindow &win, bool prof, WindowOutcome &out)
+runMeasure(Simulator &m, const SampleWindow &win, bool prof,
+           WindowOutcome &out)
 {
-    const Cycle warmEndCycle = m.now;
-    const auto names = m.stats.counterNames();
+    const Cycle warmEndCycle = m.now();
+    StatGroup &stats = m.stats();
+    const auto names = stats.counterNames();
     std::vector<std::uint64_t> before;
     before.reserve(names.size());
     for (const auto &name : names)
-        before.push_back(m.stats.counterValue(name));
+        before.push_back(stats.counterValue(name));
 
     const std::uint64_t startNs = prof ? obs::profileNowNs() : 0;
-    while (m.pipe.cursor() < win.measureEnd && !m.done()) {
-        m.step();
-        m.watchdogs(config);
-    }
+    m.runUntil(win.measureEnd);
     if (prof)
         out.measureNs = obs::profileNowNs() - startNs;
 
-    out.insts = m.pipe.cursor() - win.warmEnd;
-    out.cycles = m.now - warmEndCycle;
+    out.insts = m.pipeline().cursor() - win.warmEnd;
+    out.cycles = m.now() - warmEndCycle;
     if (out.insts == 0)
         return;
     for (std::size_t i = 0; i < names.size(); ++i)
         out.counterDeltas[names[i]] =
-            m.stats.counterValue(names[i]) - before[i];
+            stats.counterValue(names[i]) - before[i];
 }
 
 /**
- * The serial pass: windows run in plan order against one shared
+ * Run @p job(i) for every window index: inline when @p jobs <= 1,
+ * else as independent jobs on a pool, collected in plan order so the
+ * first failing window's exception surfaces deterministically,
+ * exactly as the serial pass would have thrown it (the pool already
+ * fault-isolates each job).
+ */
+template <class Job>
+void
+forEachWindow(std::size_t count, unsigned jobs, const Job &job)
+{
+    if (jobs <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            job(i);
+        return;
+    }
+    ThreadPool pool(jobs);
+    std::vector<std::future<void>> futures;
+    futures.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        futures.push_back(pool.submit([&job, i] { job(i); }));
+    for (auto &f : futures)
+        f.get();
+}
+
+/**
+ * The cold pass: each window warms up from its sync point, then runs
+ * its measured span.  Serially (@p jobs <= 1) the windows share one
  * DataMemory (stale values from an earlier window are harmless — only
- * addresses reach the timing model).  With @p save set this is the
- * checkpoint-create pass: each window's machine state and the backing
- * store's dirty pages are snapshotted at the warm end, right where
- * the restore pass will resume.
+ * addresses reach the timing model) and stop at the first window
+ * whose warm-up runs off the trace end; pooled, each window owns one
+ * (a shared store would race).  With @p save set (serial only) this
+ * is the checkpoint-create pass: each window's machine state and the
+ * backing store's dirty pages are snapshotted at the warm end, right
+ * where the restore pass will resume.
  */
 std::vector<WindowOutcome>
-runSerialWindows(const SimConfig &config, const Program &program,
-                 const Trace &trace,
-                 const std::vector<SampleWindow> &plan, bool prof,
-                 CheckpointSet *save)
+runColdWindows(const SimConfig &config, const Program &program,
+               const Trace &trace, const std::vector<SampleWindow> &plan,
+               bool prof, unsigned jobs, CheckpointSet *save)
 {
     auto &registry = obs::MetricsRegistry::instance();
-    DataMemory dataMem;
-    dataMem.loadProgram(program);
+    std::optional<DataMemory> shared;
+    if (jobs <= 1) {
+        shared.emplace();
+        shared->loadProgram(program);
+    }
+    bool ranDry = false; // written by the serial pass only
 
-    std::vector<WindowOutcome> outcomes;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
+    std::vector<WindowOutcome> outcomes(plan.size());
+    forEachWindow(plan.size(), jobs, [&](std::size_t i) {
+        if (ranDry)
+            return;
         const SampleWindow &win = plan[i];
-        WindowOutcome out;
-        ReplayMachine m(config, program, trace, win.start, dataMem);
-        m.fetch->reset(trace.records[win.start].pc);
-        if (!runWarmup(m, config, win.warmEnd, prof, out)) {
-            outcomes.push_back(std::move(out));
-            break;
+        WindowOutcome &out = outcomes[i];
+        std::optional<DataMemory> own;
+        if (!shared) {
+            own.emplace();
+            own->loadProgram(program);
+        }
+        DataMemory &dataMem = shared ? *shared : *own;
+        Simulator m(config, program, dataMem, &trace, win.start);
+        m.fetchUnit().reset(trace.records[win.start].pc);
+        if (!runWarmup(m, win.warmEnd, prof, out)) {
+            ranDry = shared.has_value();
+            return;
         }
         if (save) {
             const std::uint64_t saveStartNs =
@@ -198,42 +226,8 @@ runSerialWindows(const SimConfig &config, const Program &program,
                 .add(cw.payload.size());
             save->windows.push_back(std::move(cw));
         }
-        runMeasure(m, config, win, prof, out);
-        outcomes.push_back(std::move(out));
-    }
-    return outcomes;
-}
-
-/** The pooled cold pass: each window is an independent job with its
- *  own DataMemory (a shared store would race). */
-std::vector<WindowOutcome>
-runPooledWindows(const SimConfig &config, const Program &program,
-                 const Trace &trace,
-                 const std::vector<SampleWindow> &plan, bool prof,
-                 unsigned jobs)
-{
-    std::vector<WindowOutcome> outcomes(plan.size());
-    ThreadPool pool(jobs);
-    std::vector<std::future<void>> futures;
-    futures.reserve(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        futures.push_back(pool.submit([&, i] {
-            const SampleWindow &win = plan[i];
-            WindowOutcome &out = outcomes[i];
-            DataMemory dataMem;
-            dataMem.loadProgram(program);
-            ReplayMachine m(config, program, trace, win.start, dataMem);
-            m.fetch->reset(trace.records[win.start].pc);
-            if (!runWarmup(m, config, win.warmEnd, prof, out))
-                return;
-            runMeasure(m, config, win, prof, out);
-        }));
-    }
-    // Collect in plan order so the first failing window's exception
-    // surfaces deterministically, exactly as the serial pass would
-    // have thrown it (the pool already fault-isolates each job).
-    for (auto &f : futures)
-        f.get();
+        runMeasure(m, win, prof, out);
+    });
     return outcomes;
 }
 
@@ -302,7 +296,7 @@ runCheckpointedWindows(const SimConfig &config, const Program &program,
     auto &registry = obs::MetricsRegistry::instance();
     std::vector<WindowOutcome> outcomes(plan.size());
 
-    const auto runOne = [&](std::size_t i) {
+    forEachWindow(plan.size(), jobs, [&](std::size_t i) {
         const SampleWindow &win = plan[i];
         WindowOutcome &out = outcomes[i];
         if (i >= set.windows.size()) {
@@ -312,7 +306,7 @@ runCheckpointedWindows(const SimConfig &config, const Program &program,
         const CheckpointWindow &cw = set.windows[i];
         DataMemory dataMem;
         dataMem.loadProgram(program);
-        ReplayMachine m(config, program, trace, win.start, dataMem);
+        Simulator m(config, program, dataMem, &trace, win.start);
         const std::uint64_t restoreStartNs =
             prof ? obs::profileNowNs() : 0;
         StateReader r(cw.payload,
@@ -326,21 +320,8 @@ runCheckpointedWindows(const SimConfig &config, const Program &program,
         registry.counter("replay.ckpt.windows_restored").add(1);
         registry.counter("replay.ckpt.bytes_read")
             .add(cw.payload.size());
-        runMeasure(m, config, win, prof, out);
-    };
-
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < plan.size(); ++i)
-            runOne(i);
-        return outcomes;
-    }
-    ThreadPool pool(jobs);
-    std::vector<std::future<void>> futures;
-    futures.reserve(plan.size());
-    for (std::size_t i = 0; i < plan.size(); ++i)
-        futures.push_back(pool.submit([&runOne, i] { runOne(i); }));
-    for (auto &f : futures)
-        f.get();
+        runMeasure(m, win, prof, out);
+    });
     return outcomes;
 }
 
@@ -407,8 +388,8 @@ replaySampled(const SimConfig &config, const Program &program,
         set.meta.traceRecords = total;
         set.meta.provenance =
             "pipesim live-points: " + config.fetchName();
-        outcomes = runSerialWindows(config, program, trace, plan, prof,
-                                    &set);
+        outcomes = runColdWindows(config, program, trace, plan, prof, 1,
+                                  &set);
         writeCheckpoint(set, checkpointPath(opt.ckptDir, config));
     } else if (useCkpt) {
         const std::string path = checkpointPath(opt.ckptDir, config);
@@ -418,12 +399,9 @@ replaySampled(const SimConfig &config, const Program &program,
         outcomes = runCheckpointedWindows(config, program, trace, plan,
                                           prof, resolveJobCount(opt.jobs),
                                           set);
-    } else if (opt.jobs == 1) {
-        outcomes = runSerialWindows(config, program, trace, plan, prof,
-                                    nullptr);
     } else {
-        outcomes = runPooledWindows(config, program, trace, plan, prof,
-                                    resolveJobCount(opt.jobs));
+        outcomes = runColdWindows(config, program, trace, plan, prof,
+                                  resolveJobCount(opt.jobs), nullptr);
     }
 
     // Accumulate in plan order: every execution strategy feeds the

@@ -5,12 +5,12 @@
  *
  * Two modes (docs/trace_replay.md documents the guarantees):
  *
- *  - Exact (samplePeriod == 0): a cycle-driven run with the real
- *    fetch unit and memory system and a surrogate backend
- *    (ReplayPipeline).  Miss counts, stall counters and the cycle
- *    count are bit-exact against Simulator for the same config —
- *    enforced by tests/test_replay.cc across the full Livermore
- *    sweep grid.
+ *  - Exact (samplePeriod == 0): a Simulator whose pipeline takes
+ *    its effective addresses and branch outcomes from the trace
+ *    instead of executing.  Miss counts, stall counters, the CPI
+ *    stack and the cycle count are bit-exact against the cycle
+ *    engine for the same config — enforced by tests/test_replay.cc
+ *    across the full Livermore sweep grid.
  *
  *  - Sampled (samplePeriod > 0): SMARTS-style systematic sampling.
  *    Every samplePeriod instructions a fresh machine replays
@@ -57,8 +57,9 @@ struct ReplayOptions
     /**
      * Worker threads for sampled windows (0 resolves like --jobs:
      * PIPESIM_JOBS, then hardware concurrency).  Results are
-     * bit-identical for any value; 1 keeps the single-threaded path
-     * that shares one DataMemory across windows.  Ignored by the
+     * bit-identical for any value; a count that resolves to 1 keeps
+     * the single-threaded path that shares one DataMemory across
+     * windows.  Ignored by the
      * exact mode and forced to 1 while creating checkpoints.
      */
     unsigned jobs = 1;

@@ -49,11 +49,12 @@ struct SimConfig
     Cycle progressWindow = 2'000'000;
 
     /**
-     * Host-side cooperative cancellation.  When non-null, the tick
-     * loops (Simulator::checkWatchdogs, ReplayMachine::watchdogs)
-     * poll it and raise TimeoutAbort once it reads true — how the
-     * sweep engine's --point-deadline-ms watchdog stops a point that
-     * overran its wall-clock budget without killing the worker.  Not
+     * Host-side cooperative cancellation.  When non-null, the
+     * machine's watchdog check (Simulator::checkWatchdogs, shared by
+     * both engines) polls it and raises TimeoutAbort once it reads
+     * true — how the sweep engine's --point-deadline-ms watchdog
+     * stops a point that overran its wall-clock budget without
+     * killing the worker.  Not
      * part of the machine's identity: replay::configSha256 (and with
      * it every checkpoint and result-store cache key) ignores it.
      */

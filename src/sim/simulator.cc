@@ -1,8 +1,10 @@
 #include "sim/simulator.hh"
 
+#include <limits>
 #include <sstream>
 
 #include "common/abort.hh"
+#include "common/log.hh"
 #include "core/fetch_factory.hh"
 #include "obs/profiler.hh"
 #include "sim/guard.hh"
@@ -24,22 +26,39 @@ SimResult::hasCounter(const std::string &name) const
 }
 
 Simulator::Simulator(const SimConfig &config, const Program &program)
-    : _config(config), _program(program)
+    : _config(config), _program(program),
+      _ownedDataMem(std::make_unique<DataMemory>()),
+      _dataMem(*_ownedDataMem)
 {
     _dataMem.loadProgram(program);
-    _mem = std::make_unique<MemorySystem>(config.mem, _dataMem);
+    build(nullptr, 0);
+}
 
-    _fetch = makeFetchUnit(config.fetch, program, *_mem);
+Simulator::Simulator(const SimConfig &config, const Program &program,
+                     DataMemory &dataMem, const replay::Trace *trace,
+                     std::size_t firstRecord)
+    : _config(config), _program(program), _dataMem(dataMem)
+{
+    build(trace, firstRecord);
+}
 
-    _pipeline = std::make_unique<Pipeline>(config.cpu, *_fetch, *_mem);
+void
+Simulator::build(const replay::Trace *trace, std::size_t firstRecord)
+{
+    _mem = std::make_unique<MemorySystem>(_config.mem, _dataMem);
+
+    _fetch = makeFetchUnit(_config.fetch, _program, *_mem);
+
+    _pipeline = std::make_unique<Pipeline>(_config.cpu, *_fetch, *_mem,
+                                           trace, firstRecord);
 
     _pipeline->setProbes(&_probes);
     _fetch->setProbes(&_probes);
     _mem->setProbes(&_probes);
 
-    if (config.fault.enabled()) {
+    if (_config.fault.enabled()) {
         _faultInjector =
-            std::make_unique<fault::FaultInjector>(config.fault);
+            std::make_unique<fault::FaultInjector>(_config.fault);
         _mem->setFaultInjector(_faultInjector.get());
         _faultInjector->regStats(_stats, "fault");
     }
@@ -48,7 +67,7 @@ Simulator::Simulator(const SimConfig &config, const Program &program)
     _fetch->regStats(_stats, "fetch");
     _mem->regStats(_stats, "mem");
 
-    if (config.cpiStack) {
+    if (_config.cpiStack) {
         _cpiStack = std::make_unique<obs::CpiStack>();
         _pipeline->setCpiStack(_cpiStack.get());
         _cpiStack->regStats(_stats, "cpi_stack");
@@ -95,15 +114,6 @@ Simulator::checkWatchdogs()
                                std::to_string(_now),
                            snapshot());
     checkInterrupt();
-}
-
-void
-Simulator::runLoop()
-{
-    while (!done()) {
-        step();
-        checkWatchdogs();
-    }
 }
 
 void
@@ -155,24 +165,49 @@ Simulator::runLoopProfiled()
     flush();
 }
 
+namespace
+{
+
+/**
+ * Components raise SimAbort without forensic context (they cannot see
+ * the whole machine); decorate it here, once.
+ */
+template <class Loop>
+void
+withSnapshot(const Simulator &sim, Loop &&loop)
+{
+    try {
+        loop();
+    } catch (const SimAbort &e) {
+        if (e.hasSnapshot())
+            throw;
+        throw SimAbort(e.what(), sim.snapshot());
+    }
+}
+
+} // namespace
+
 SimResult
 Simulator::run()
 {
-    try {
-        // One enabled() check per run: the detached hot path is the
-        // exact pre-profiler loop, untouched (see obs/profiler.hh).
-        if (obs::Profiler::enabled())
-            runLoopProfiled();
-        else
-            runLoop();
-    } catch (const SimAbort &e) {
-        // Components raise SimAbort without forensic context (they
-        // cannot see the whole machine); decorate it here, once.
-        if (e.hasSnapshot())
-            throw;
-        throw SimAbort(e.what(), snapshot());
-    }
+    // One enabled() check per run: the detached hot path is the exact
+    // pre-profiler loop, untouched (see obs/profiler.hh).
+    if (obs::Profiler::enabled())
+        withSnapshot(*this, [this] { runLoopProfiled(); });
+    else
+        runUntil(std::numeric_limits<std::size_t>::max());
     return result();
+}
+
+void
+Simulator::runUntil(std::size_t record)
+{
+    withSnapshot(*this, [this, record] {
+        while (!done() && _pipeline->cursor() < record) {
+            step();
+            checkWatchdogs();
+        }
+    });
 }
 
 MachineSnapshot
@@ -191,6 +226,39 @@ Simulator::snapshot() const
     s.fetchState = fetch.str();
     s.memoryState = mem.str();
     return s;
+}
+
+void
+Simulator::saveState(StateWriter &w) const
+{
+    if (_faultInjector)
+        fatal("cannot checkpoint a fault-injected machine: the "
+              "injector's random stream is not part of the state");
+    w.u64(_now);
+    w.u64(_lastProgressCycle);
+    w.u64(_lastRetired);
+    _pipeline->saveState(w);
+    _fetch->saveState(w);
+    _mem->saveState(w);
+    // configSha256 does not cover cpiStack, so the stack is flagged.
+    w.b(_cpiStack != nullptr);
+    if (_cpiStack)
+        _cpiStack->saveState(w);
+}
+
+void
+Simulator::restoreState(StateReader &r)
+{
+    _now = r.u64();
+    _lastProgressCycle = r.u64();
+    _lastRetired = r.u64();
+    _pipeline->restoreState(r);
+    _fetch->restoreState(r);
+    _mem->restoreState(r);
+    if (r.b()) {
+        obs::CpiStack discard;
+        (_cpiStack ? *_cpiStack : discard).restoreState(r);
+    }
 }
 
 SimResult

@@ -2,6 +2,10 @@
  * @file
  * Top-level simulator: wires a program, a fetch strategy, the
  * pipeline and the memory system together and runs to completion.
+ * The one machine of both engines: the cycle engine builds it with
+ * an executing pipeline, the trace-replay engine with a trace value
+ * source (replay/replay_engine.hh), so ticks, watchdogs, forensic
+ * snapshots and checkpoints exist once.
  *
  * Tick order within a cycle: fetch unit (buffer management, request
  * generation) -> memory system (output-bus acceptance, input-bus
@@ -18,6 +22,7 @@
 
 #include "assembler/program.hh"
 #include "common/abort.hh"
+#include "common/state_io.hh"
 #include "common/stats.hh"
 #include "fault/fault.hh"
 #include "core/fetch_unit.hh"
@@ -65,10 +70,31 @@ struct SimResult
 class Simulator
 {
   public:
+    /** A machine with its own backing store, loaded with @p program. */
     Simulator(const SimConfig &config, const Program &program);
+
+    /**
+     * A machine over a caller-owned backing store, which the caller
+     * has loaded (sampled replay windows share one instead of zeroing
+     * a fresh megabyte each), optionally driven by a trace value
+     * source from record @p firstRecord on (see Pipeline).
+     */
+    Simulator(const SimConfig &config, const Program &program,
+              DataMemory &dataMem, const replay::Trace *trace = nullptr,
+              std::size_t firstRecord = 0);
 
     /** Run until HALT issues and all queues drain. */
     SimResult run();
+
+    /**
+     * Step, checking the watchdogs every cycle, until done() or until
+     * the pipeline's cursor reaches @p record.  The plain loop, with
+     * zero host-profiling cost: the replay engine attributes its own
+     * phases, and pooled windows must not touch the profiler from
+     * worker threads.
+     * @throws SimAbort carrying a machine snapshot.
+     */
+    void runUntil(std::size_t record);
 
     /** Advance a single cycle (for fine-grained tests). */
     void step();
@@ -107,12 +133,29 @@ class Simulator
      */
     MachineSnapshot snapshot() const;
 
-  private:
-    /** The plain run loop: zero host-profiling cost. */
-    void runLoop();
+    /**
+     * Serialize the machine's full warm state (clock, watchdog
+     * bookkeeping, pipeline, fetch unit, memory system, CPI stack).
+     * The DataMemory's contents are NOT included — a checkpoint
+     * captures its dirty pages separately, since a borrowed backing
+     * store outlives any one machine.
+     * @throws FatalError when fault injection is on (the injector's
+     *         random stream is not checkpointed).
+     */
+    void saveState(StateWriter &w) const;
 
     /**
-     * The same loop with per-cycle phase attribution (fetch/mem/
+     * Restore state written by saveState() into this machine, which
+     * must have been built with the same config, program, trace and
+     * first record that produced the snapshot.
+     */
+    void restoreState(StateReader &r);
+
+  private:
+    void build(const replay::Trace *trace, std::size_t firstRecord);
+
+    /**
+     * runUntil()'s loop with per-cycle phase attribution (fetch/mem/
      * pipeline/other) under the host profiler.  Selected by run()
      * with a single obs::Profiler::enabled() check, so the detached
      * hot path carries no probe cost at all.
@@ -124,7 +167,8 @@ class Simulator
 
     SimConfig _config;
     const Program &_program;
-    DataMemory _dataMem;
+    std::unique_ptr<DataMemory> _ownedDataMem;
+    DataMemory &_dataMem;
     obs::ProbeBus _probes;
     std::unique_ptr<MemorySystem> _mem;
     std::unique_ptr<FetchUnit> _fetch;

@@ -12,26 +12,30 @@
  *    the serial path for any job count;
  *  - the PIPECKPT container must reject every corruption, truncation
  *    and cache-key mismatch with a FatalError, in the same spirit as
- *    the PIPETRC fuzzing in test_trace_format.cc.
+ *    the PIPETRC fuzzing in test_trace_format.cc;
+ *  - the cycle engine's executing machine checkpoints too: restored
+ *    mid-run, it finishes with the same result and kernel outputs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/sha256.hh"
 #include "common/state_io.hh"
 #include "mem/data_memory.hh"
 #include "replay/capture.hh"
 #include "replay/checkpoint.hh"
 #include "replay/replay_engine.hh"
-#include "replay/replay_machine.hh"
 #include "replay/trace_format.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
 #include "workloads/benchmark_program.hh"
+#include "workloads/reference.hh"
 
 using namespace pipesim;
 using namespace pipesim::replay;
@@ -101,14 +105,14 @@ sampledOptions()
 
 /** Counters, cycle clock and cursor of @p m as one comparable blob. */
 std::vector<std::pair<std::string, std::uint64_t>>
-machineFingerprint(const ReplayMachine &m)
+machineFingerprint(Simulator &m)
 {
     std::vector<std::pair<std::string, std::uint64_t>> fp;
-    fp.emplace_back("~now", m.now);
-    fp.emplace_back("~cursor", m.pipe.cursor());
-    fp.emplace_back("~retired", m.pipe.instructionsRetired());
-    for (const auto &name : m.stats.counterNames())
-        fp.emplace_back(name, m.stats.counterValue(name));
+    fp.emplace_back("~now", m.now());
+    fp.emplace_back("~cursor", m.pipeline().cursor());
+    fp.emplace_back("~retired", m.pipeline().instructionsRetired());
+    for (const auto &name : m.stats().counterNames())
+        fp.emplace_back(name, m.stats().counterValue(name));
     return fp;
 }
 
@@ -203,9 +207,9 @@ expectRoundTripAt(const SimConfig &cfg, std::size_t syncPoint,
 
     DataMemory memA;
     memA.loadProgram(program);
-    ReplayMachine a(cfg, program, trace, syncPoint, memA);
-    a.fetch->reset(trace.records[syncPoint].pc);
-    while (a.pipe.cursor() < warmTo && !a.done())
+    Simulator a(cfg, program, memA, &trace, syncPoint);
+    a.fetchUnit().reset(trace.records[syncPoint].pc);
+    while (a.pipeline().cursor() < warmTo && !a.done())
         a.step();
 
     StateWriter w;
@@ -215,7 +219,7 @@ expectRoundTripAt(const SimConfig &cfg, std::size_t syncPoint,
 
     DataMemory memB;
     memB.loadProgram(program);
-    ReplayMachine b(cfg, program, trace, syncPoint, memB);
+    Simulator b(cfg, program, memB, &trace, syncPoint);
     StateReader r(payload, what);
     b.restoreState(r);
     memB.restoreDirtyPages(r);
@@ -227,9 +231,9 @@ expectRoundTripAt(const SimConfig &cfg, std::size_t syncPoint,
     // ...and still identical after running the same span, so every
     // piece of in-flight state (fill requests, queue contents, FPU
     // pipelines, latches) must have survived the round-trip.
-    while (a.pipe.cursor() < runTo && !a.done())
+    while (a.pipeline().cursor() < runTo && !a.done())
         a.step();
-    while (b.pipe.cursor() < runTo && !b.done())
+    while (b.pipeline().cursor() < runTo && !b.done())
         b.step();
     EXPECT_EQ(machineFingerprint(a), machineFingerprint(b)) << what;
 }
@@ -516,6 +520,31 @@ TEST(CheckpointCorruptionTest, GarbageFilesAreFatal)
     EXPECT_THROW(decodeCheckpoint(magicOnly, "magic-only"), FatalError);
 }
 
+TEST(CheckpointCorruptionTest, OldFormatVersionIsFatal)
+{
+    // A file written before the version bump, otherwise intact (the
+    // whole-file digest is recomputed over the patched header), must
+    // be refused by version, not by checksum.
+    CheckpointSet set = sampleSet(2);
+    std::vector<std::uint8_t> bytes = encodeCheckpoint(set);
+    ASSERT_EQ(checkpointFormatVersion, 2u);
+    bytes[8] = 1; // u32 version, little-endian, right after the magic
+    const std::size_t bodyLen = bytes.size() - 32;
+    Sha256 h;
+    h.update(bytes.data(), bodyLen);
+    const auto digest = h.digest();
+    std::copy(digest.begin(), digest.end(), bytes.begin() + bodyLen);
+    try {
+        decodeCheckpoint(bytes, "version-1 file");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported format version 1"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(CheckpointCorruptionTest, MissingFileIsFatal)
 {
     EXPECT_THROW(readCheckpoint("no/such/store.pipeckpt"), FatalError);
@@ -546,8 +575,8 @@ TEST(CheckpointCorruptionTest, CorruptPayloadFailsRestoreCleanly)
     DataMemory mem;
     mem.loadProgram(program);
     const auto sync = computeSyncPoints(program, trace);
-    ReplayMachine m(cfg, program, trace, sync[0], mem);
-    m.fetch->reset(trace.records[sync[0]].pc);
+    Simulator m(cfg, program, mem, &trace, sync[0]);
+    m.fetchUnit().reset(trace.records[sync[0]].pc);
     for (int i = 0; i < 200 && !m.done(); ++i)
         m.step();
     StateWriter w;
@@ -561,9 +590,73 @@ TEST(CheckpointCorruptionTest, CorruptPayloadFailsRestoreCleanly)
                                       payload.begin() + len);
         DataMemory mem2;
         mem2.loadProgram(program);
-        ReplayMachine fresh(cfg, program, trace, sync[0], mem2);
+        Simulator fresh(cfg, program, mem2, &trace, sync[0]);
         StateReader r(cut, "truncated payload");
         EXPECT_THROW(fresh.restoreState(r), FatalError)
             << "payload truncated to " << len;
     }
+}
+
+// ---------------------------------------------------------------------
+// Cycle-engine checkpoints: the executing machine is the same
+// Simulator, so it saves and restores mid-run as well.
+
+TEST(CycleCheckpointTest, MidRunRestoreFinishesIdentically)
+{
+    const auto bench = workloads::buildLivermoreBenchmark(0.03);
+    const Program &program = bench.program;
+
+    std::vector<SimConfig> configs(3);
+    configs[0].fetch = conventionalConfigFor(128, 16);
+    configs[1].fetch = pipeConfigFor("16-16", 128);
+    configs[2].fetch = tibConfigFor(128);
+
+    for (const SimConfig &cfg : configs) {
+        const SimResult cold = runSimulation(cfg, program);
+        for (const Cycle saveAt :
+             {Cycle(1), cold.totalCycles / 4, cold.totalCycles / 2,
+              cold.totalCycles - 3}) {
+            const std::string what =
+                cfg.fetchName() + " @ cycle " + std::to_string(saveAt);
+            Simulator a(cfg, program);
+            while (a.now() < saveAt && !a.done())
+                a.step();
+            StateWriter w;
+            a.saveState(w);
+            a.dataMemory().saveDirtyPages(w);
+            const std::vector<std::uint8_t> payload = w.take();
+
+            Simulator b(cfg, program);
+            StateReader r(payload, what);
+            b.restoreState(r);
+            b.dataMemory().restoreDirtyPages(r);
+            r.expectEnd();
+
+            const SimResult ra = a.run();
+            const SimResult rb = b.run();
+            EXPECT_EQ(ra.totalCycles, rb.totalCycles) << what;
+            EXPECT_EQ(ra.instructions, rb.instructions) << what;
+            EXPECT_EQ(ra.counters, rb.counters) << what;
+            EXPECT_EQ(rb.totalCycles, cold.totalCycles) << what;
+            EXPECT_EQ(rb.counters, cold.counters) << what;
+            for (std::size_t k = 0; k < bench.kernels.size(); ++k) {
+                std::string diag;
+                EXPECT_TRUE(workloads::verifyAgainstReference(
+                    b.dataMemory(), bench.kernels[k], bench.codeInfo[k],
+                    &diag))
+                    << what << " kernel " << k + 1 << ": " << diag;
+            }
+        }
+    }
+}
+
+TEST(CycleCheckpointTest, FaultInjectedMachineRefusesToSave)
+{
+    SimConfig cfg;
+    cfg.fault.kinds = fault::Grant;
+    cfg.fault.rate = 0.5;
+    Simulator sim(cfg, tinyBenchmark().program);
+    sim.step();
+    StateWriter w;
+    EXPECT_THROW(sim.saveState(w), FatalError);
 }

@@ -53,8 +53,7 @@ expectExactMatch(const SimConfig &cfg, const Program &program,
     EXPECT_EQ(cycle.totalCycles, replayed.totalCycles) << what;
     EXPECT_EQ(cycle.instructions, replayed.instructions) << what;
     // Every counter the replay engine reports must exist in the cycle
-    // run with the same value (the cycle run additionally has
-    // cpi_stack counters the replay engine does not model).
+    // run with the same value.
     for (const auto &[name, value] : replayed.counters) {
         ASSERT_TRUE(cycle.hasCounter(name)) << what << " counter " << name;
         EXPECT_EQ(cycle.counter(name), value)
@@ -62,8 +61,6 @@ expectExactMatch(const SimConfig &cfg, const Program &program,
     }
     // And the replay engine must not silently drop machine counters.
     for (const auto &[name, value] : cycle.counters) {
-        if (name.rfind("cpi_stack", 0) == 0)
-            continue;
         EXPECT_TRUE(replayed.counters.count(name))
             << what << " missing counter " << name;
     }
@@ -168,6 +165,34 @@ TEST(ReplayGuardTest, FaultInjectionIsFatal)
     EXPECT_THROW(replay::replayTrace(cfg, tinyBenchmark().program,
                                      tinyTrace()),
                  FatalError);
+}
+
+TEST(ReplayGuardTest, AbortsCarryAMachineSnapshot)
+{
+    // Replay runs on the cycle engine's Simulator, so a watchdog
+    // abort in an exact run or in a sampled window carries the same
+    // forensic snapshot, naming the next trace record.
+    SimConfig cfg;
+    cfg.maxCycles = 500;
+    replay::ReplayOptions sampled;
+    sampled.samplePeriod = 2000;
+    sampled.sampleWarmup = 1000;
+    sampled.sampleMeasure = 1000;
+    for (const replay::ReplayOptions &opt :
+         {replay::ReplayOptions{}, sampled}) {
+        try {
+            replay::replayTrace(cfg, tinyBenchmark().program,
+                                tinyTrace(), opt);
+            FAIL() << "expected SimAbort";
+        } catch (const SimAbort &e) {
+            ASSERT_TRUE(e.hasSnapshot()) << e.what();
+            EXPECT_EQ(e.snapshot().cycle, 501u);
+            EXPECT_NE(e.snapshot().pipelineState.find(
+                          "next trace record #"),
+                      std::string::npos)
+                << e.snapshot().pipelineState;
+        }
+    }
 }
 
 TEST(ReplaySampledTest, EstimateWithinBoundAndDeterministic)

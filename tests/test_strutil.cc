@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/log.hh"
 
 #include "common/strutil.hh"
@@ -78,6 +81,31 @@ TEST(StrUtil, ParseIntRejectsGarbage)
     EXPECT_FALSE(parseInt("0x"));
     EXPECT_FALSE(parseInt("-"));
     EXPECT_FALSE(parseInt("0b2"));
+}
+
+TEST(StrUtil, ParseIntRejectsOverflowAndKeepsExactBounds)
+{
+    // Out-of-range values are rejected, never wrapped.
+    EXPECT_FALSE(parseInt("999999999999999999999"));
+    EXPECT_FALSE(parseInt("-999999999999999999999"));
+    EXPECT_FALSE(parseInt("9223372036854775808"));
+    EXPECT_FALSE(parseInt("-9223372036854775809"));
+    EXPECT_FALSE(parseInt("0x8000000000000000"));
+    EXPECT_FALSE(parseInt("0xffffffffffffffff"));
+    EXPECT_FALSE(parseInt("0x10000000000000000"));
+    EXPECT_FALSE(parseInt("-0x8000000000000001"));
+    EXPECT_FALSE(parseInt("0b1" + std::string(63, '0')));
+    EXPECT_FALSE(parseInt("0b1" + std::string(64, '1')));
+
+    // The exact int64 bounds still parse, in every base.
+    constexpr auto max = std::numeric_limits<std::int64_t>::max();
+    constexpr auto min = std::numeric_limits<std::int64_t>::min();
+    EXPECT_EQ(parseInt("9223372036854775807"), max);
+    EXPECT_EQ(parseInt("-9223372036854775808"), min);
+    EXPECT_EQ(parseInt("0x7fffffffffffffff"), max);
+    EXPECT_EQ(parseInt("-0x8000000000000000"), min);
+    EXPECT_EQ(parseInt("0b" + std::string(63, '1')), max);
+    EXPECT_EQ(parseInt("-0b1" + std::string(63, '0')), min);
 }
 
 TEST(StrUtil, Format)
