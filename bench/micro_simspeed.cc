@@ -44,39 +44,45 @@ smallBench()
     return b;
 }
 
+/**
+ * Simulate @p fetch over the small benchmark once per iteration at
+ * the access time in range(0), with no accounting and no listener.
+ * Besides the rate it reports ticks_per_sim_cycle, the share of
+ * cycles the loop ticked rather than skipped as idle: a work counter
+ * that does not move with host noise.
+ */
 void
-BM_SimulatePipe(benchmark::State &state)
+simulateRaw(benchmark::State &state, const FetchConfig &fetch)
 {
     SimConfig cfg;
-    cfg.fetch = pipeConfigFor("16-16", 128);
+    cfg.fetch = fetch;
     cfg.mem.accessTime = unsigned(state.range(0));
     cfg.cpiStack = false; // raw rate: no accounting, no listener
     cfg.fault = g_flags.fault;
-    std::uint64_t cycles = 0;
+    std::uint64_t cycles = 0, ticks = 0, clock = 0;
     for (auto _ : state) {
-        const auto res = runSimulation(cfg, smallBench().program);
+        Simulator sim(cfg, smallBench().program);
+        const auto res = sim.run();
         cycles += res.totalCycles;
+        ticks += sim.ticksExecuted();
+        clock += sim.now();
     }
     state.counters["sim_cycles_per_s"] = benchmark::Counter(
         double(cycles), benchmark::Counter::kIsRate);
+    state.counters["ticks_per_sim_cycle"] = double(ticks) / double(clock);
+}
+
+void
+BM_SimulatePipe(benchmark::State &state)
+{
+    simulateRaw(state, pipeConfigFor("16-16", 128));
 }
 BENCHMARK(BM_SimulatePipe)->Arg(1)->Arg(6);
 
 void
 BM_SimulateConventional(benchmark::State &state)
 {
-    SimConfig cfg;
-    cfg.fetch = conventionalConfigFor(128, 16);
-    cfg.mem.accessTime = unsigned(state.range(0));
-    cfg.cpiStack = false; // raw rate: no accounting, no listener
-    cfg.fault = g_flags.fault;
-    std::uint64_t cycles = 0;
-    for (auto _ : state) {
-        const auto res = runSimulation(cfg, smallBench().program);
-        cycles += res.totalCycles;
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        double(cycles), benchmark::Counter::kIsRate);
+    simulateRaw(state, conventionalConfigFor(128, 16));
 }
 BENCHMARK(BM_SimulateConventional)->Arg(1)->Arg(6);
 

@@ -17,16 +17,97 @@ Histogram::Histogram(std::uint64_t bucket_width, unsigned num_buckets)
 }
 
 void
+Histogram::closeRun()
+{
+    if (_runLen == 0)
+        return;
+    _buckets[bucketOf(_runValue)] += _runLen;
+    if (_count == 0) {
+        _min = _max = _runValue;
+    } else {
+        _min = std::min(_min, _runValue);
+        _max = std::max(_max, _runValue);
+    }
+    _count += _runLen;
+    _sum += _runValue * _runLen;
+    _runLen = 0;
+}
+
+void
+Histogram::repeat(std::uint64_t n)
+{
+    PIPESIM_ASSERT(_runLen != 0, "repeat() with no sample to repeat");
+    _runLen += n;
+}
+
+void
 Histogram::reset()
 {
     std::fill(_buckets.begin(), _buckets.end(), 0);
     _count = _sum = _min = _max = 0;
+    _runValue = _runLen = 0;
+}
+
+std::uint64_t
+Histogram::min() const
+{
+    if (_runLen == 0)
+        return _min;
+    return _count == 0 ? _runValue : std::min(_min, _runValue);
+}
+
+std::uint64_t
+Histogram::max() const
+{
+    if (_runLen == 0)
+        return _max;
+    return _count == 0 ? _runValue : std::max(_max, _runValue);
 }
 
 double
 Histogram::mean() const
 {
-    return _count ? static_cast<double>(_sum) / _count : 0.0;
+    return count() ? static_cast<double>(sum()) / count() : 0.0;
+}
+
+std::vector<std::uint64_t>
+Histogram::buckets() const
+{
+    std::vector<std::uint64_t> b = _buckets;
+    if (_runLen != 0)
+        b[bucketOf(_runValue)] += _runLen;
+    return b;
+}
+
+void
+Histogram::saveState(StateWriter &w) const
+{
+    w.u32(std::uint32_t(_buckets.size()));
+    for (std::uint64_t b : _buckets)
+        w.u64(b);
+    w.u64(_count);
+    w.u64(_sum);
+    w.u64(_min);
+    w.u64(_max);
+    w.u64(_runValue);
+    w.u64(_runLen);
+}
+
+void
+Histogram::restoreState(StateReader &r)
+{
+    const std::uint32_t n = r.u32();
+    if (n != _buckets.size())
+        r.fail("histogram holds ", n, " buckets, expected ",
+               _buckets.size());
+    for (std::uint64_t &b : _buckets)
+        b = r.u64();
+    _count = r.u64();
+    _sum = r.u64();
+    _min = r.u64();
+    _max = r.u64();
+    _runValue = r.u64();
+    _runLen = r.u64();
 }
 
 void

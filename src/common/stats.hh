@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "common/state_io.hh"
+
 namespace pipesim
 {
 
@@ -42,6 +44,13 @@ class Counter
 
 /**
  * A histogram with fixed-width buckets plus an overflow bucket.
+ *
+ * Samples are run-length encoded: a sample equal to the previous one
+ * only lengthens the open run, which every accessor folds in.  A
+ * per-cycle sample of a slowly changing value (queue occupancy) thus
+ * costs a compare and an increment, and repeat() records a run of
+ * identical cycles at once.  The readout is exactly that of the
+ * samples one by one.
  */
 class Histogram
 {
@@ -56,38 +65,55 @@ class Histogram
     void
     sample(std::uint64_t value)
     {
-        const std::size_t idx = std::min<std::size_t>(
-            value / _bucketWidth, _buckets.size() - 1);
-        ++_buckets[idx];
-        ++_count;
-        _sum += value;
-        if (_count == 1) {
-            _min = _max = value;
-        } else {
-            _min = std::min(_min, value);
-            _max = std::max(_max, value);
+        if (_runLen != 0 && value == _runValue) {
+            ++_runLen;
+            return;
         }
+        closeRun();
+        _runValue = value;
+        _runLen = 1;
     }
+
+    /** Record the most recent sample @p n more times. */
+    void repeat(std::uint64_t n);
 
     void reset();
 
-    std::uint64_t count() const { return _count; }
-    std::uint64_t sum() const { return _sum; }
-    std::uint64_t min() const { return _min; }
-    std::uint64_t max() const { return _max; }
+    std::uint64_t count() const { return _count + _runLen; }
+    std::uint64_t sum() const { return _sum + _runValue * _runLen; }
+    std::uint64_t min() const;
+    std::uint64_t max() const;
     double mean() const;
 
     /** Bucket contents; the final entry is the overflow bucket. */
-    const std::vector<std::uint64_t> &buckets() const { return _buckets; }
+    std::vector<std::uint64_t> buckets() const;
     std::uint64_t bucketWidth() const { return _bucketWidth; }
 
+    /** Serialize every sample so far, the open run included. */
+    void saveState(StateWriter &w) const;
+
+    /** Restore saveState() output into a histogram of equal shape. */
+    void restoreState(StateReader &r);
+
   private:
+    std::size_t
+    bucketOf(std::uint64_t value) const
+    {
+        return std::min<std::size_t>(value / _bucketWidth,
+                                     _buckets.size() - 1);
+    }
+
+    /** Fold the open run into the closed totals. */
+    void closeRun();
+
     std::uint64_t _bucketWidth;
-    std::vector<std::uint64_t> _buckets;
+    std::vector<std::uint64_t> _buckets; //!< closed runs only
     std::uint64_t _count = 0;
     std::uint64_t _sum = 0;
     std::uint64_t _min = 0;
     std::uint64_t _max = 0;
+    std::uint64_t _runValue = 0; //!< value of the open run
+    std::uint64_t _runLen = 0;   //!< its length (0: no open run)
 };
 
 /**

@@ -21,6 +21,9 @@ using Addr = std::uint32_t;
 /** Simulated time, in processor clock cycles. */
 using Cycle = std::uint64_t;
 
+/** "No event pending": later than any cycle a run reaches. */
+inline constexpr Cycle neverCycle = ~Cycle(0);
+
 /** A 16-bit instruction parcel (the PIPE ISA's atomic code unit). */
 using Parcel = std::uint16_t;
 

@@ -122,6 +122,7 @@ void
 ConventionalFetchUnit::tick(Cycle now)
 {
     _obsNow = now;
+    _idle = true;
 
     // Always-prefetch: the reference made last cycle launches a
     // prefetch of the next sequential location (lowest priority at
@@ -136,6 +137,7 @@ ConventionalFetchUnit::tick(Cycle now)
             ++_prefetchFetches;
         }
         _prefetchAddr.reset();
+        _idle = false;
     }
 
     // Demand path: the instruction the decoder needs next.
@@ -145,6 +147,8 @@ ConventionalFetchUnit::tick(Cycle now)
     const unsigned size = instSizeAt(*next);
     const auto missing = firstMissing(*next, size);
     if (!missing) {
+        if (_missRecordedFor)
+            _idle = false;
         _missRecordedFor.reset();
         return;
     }
@@ -154,12 +158,14 @@ ConventionalFetchUnit::tick(Cycle now)
             _probes->icacheAccess.notify(
                 obs::CacheEvent{_obsNow, *next, false});
         _missRecordedFor = *next;
+        _idle = false;
     }
     if (inflightCovers(*missing))
         return; // the in-flight request will satisfy it
     if (!_outstanding && !_want) {
         _want = makeRequest(*missing, ReqClass::IFetchDemand);
         ++_demandFetches;
+        _idle = false;
     } else if (_want && _want->cls == ReqClass::IPrefetch) {
         const bool covers =
             *missing >= _want->addr &&
@@ -174,6 +180,7 @@ ConventionalFetchUnit::tick(Cycle now)
             _want = makeRequest(*missing, ReqClass::IFetchDemand);
         }
         ++_demandFetches;
+        _idle = false;
         // An already in-flight prefetch keeps its (lowest) priority
         // until it completes -- the cost Hill notes.
     }

@@ -101,6 +101,20 @@ class FetchUnit
     /** Advance internal machinery one cycle. */
     virtual void tick(Cycle now) = 0;
 
+    /**
+     * The idle skip (see Simulator): @p last + 1 if tick(@p last)
+     * changed anything, else neverCycle, since no strategy compares
+     * the clock: an idle tick repeats until the pipeline or the
+     * memory system changes the unit's state.
+     */
+    Cycle nextEvent(Cycle last) const
+    {
+        return _idle ? neverCycle : last + 1;
+    }
+
+    /** Account @p n skipped repeats of an idle tick. */
+    void repeatIdleTick(Cycle n) { _obsNow += n; }
+
     /** @return true if an instruction can be consumed this cycle. */
     virtual bool instructionReady() const = 0;
 
@@ -292,6 +306,13 @@ class FetchUnit
      * tick in the same cycle, so stamping events with this is exact.
      */
     Cycle _obsNow = 0;
+
+    /**
+     * The last tick changed nothing: no redirect handled, no request
+     * made or promoted, no lookup or fill.  Each strategy's tick()
+     * sets it.
+     */
+    bool _idle = false;
 };
 
 } // namespace pipesim

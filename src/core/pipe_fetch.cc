@@ -116,14 +116,14 @@ PipeFetchUnit::branchResolved(bool taken, Addr target)
     _follower.resolved(taken, target);
 }
 
-void
+bool
 PipeFetchUnit::handleResolvedRedirect()
 {
     // A redirect resolved while it was not the front (its elder was
     // still draining delay slots) is squashed once it is promoted.
     if (!_follower.hasPending() || !_follower.frontResolved() ||
         _follower.frontId() == _squashDoneId)
-        return;
+        return false;
     _squashDoneId = _follower.frontId();
     if (_follower.frontTaken()) {
         const Addr r = staticWalk(_follower.streamPos(),
@@ -136,6 +136,7 @@ PipeFetchUnit::handleResolvedRedirect()
                 _fill->bufferCap = std::min(_fill->bufferCap, r);
         }
     }
+    return true;
 }
 
 std::optional<PipeFetchUnit::FillPlan>
@@ -222,18 +223,18 @@ PipeFetchUnit::fillGuaranteed(Addr fill_start, bool new_segment) const
     return true;
 }
 
-void
+bool
 PipeFetchUnit::startFillIfNeeded()
 {
     if (_fill)
-        return; // one fill (and one off-chip request) at a time
+        return false; // one fill (and one off-chip request) at a time
 
     if (_occupancy > _cfg.iqBytes && !decoderStarving())
-        return; // IQB portion still occupied; no prefetch trigger
+        return false; // IQB portion still occupied; no prefetch trigger
 
     const auto plan = planNextFill();
     if (!plan)
-        return;
+        return false;
 
     const Addr line = _cache.lineBase(plan->start);
     const Addr line_end = line + _cfg.lineBytes;
@@ -257,13 +258,13 @@ PipeFetchUnit::startFillIfNeeded()
         _fill = Fill{line, plan->start, buffer_cap, false,
                      plan->newSegment};
         performCacheFill();
-        return;
+        return true;
     }
 
     if (_cfg.offchipPolicy == OffchipPolicy::GuaranteedOnly &&
         !fillGuaranteed(plan->start, plan->newSegment)) {
         ++_blockedOnGuarantee;
-        return;
+        return true;
     }
 
     // Whole-line off-chip fetch, streaming into the cache and the
@@ -282,6 +283,7 @@ PipeFetchUnit::startFillIfNeeded()
     else
         ++_offchipPrefetchLines;
     _want = req;
+    return true;
 }
 
 void
@@ -375,16 +377,18 @@ void
 PipeFetchUnit::tick(Cycle now)
 {
     _obsNow = now;
-    handleResolvedRedirect();
+    bool active = handleResolvedRedirect();
 
     // A prefetch-class request whose line the decoder now starves
     // for is promoted to demand priority.
     if (_want && _want->cls == ReqClass::IPrefetch &&
         (decoderStarving() || _buffer.empty())) {
         _want->cls = ReqClass::IFetchDemand;
+        active = true;
     }
 
-    startFillIfNeeded();
+    active |= startFillIfNeeded();
+    _idle = !active;
 }
 
 bool

@@ -92,8 +92,9 @@ class PipeFetchUnit : public FetchUnit
         bool dead = false; //!< squashed; fills the cache only
     };
 
-    void handleResolvedRedirect();
-    void startFillIfNeeded();
+    // Each per-tick step returns true if it changed any state.
+    bool handleResolvedRedirect();
+    bool startFillIfNeeded();
     void performCacheFill();
     void appendBytes(Addr start, unsigned len);
     void truncateBufferAt(Addr r);

@@ -120,12 +120,12 @@ TibFetchUnit::branchResolved(bool taken, Addr target)
     _follower.resolved(taken, target);
 }
 
-void
+bool
 TibFetchUnit::handleResolvedRedirect()
 {
     if (!_follower.hasPending() || !_follower.frontResolved() ||
         _follower.frontId() == _squashDoneId)
-        return;
+        return false;
     _squashDoneId = _follower.frontId();
     if (_follower.frontTaken()) {
         _pendingTargets.push_back(_follower.frontTarget());
@@ -139,6 +139,7 @@ TibFetchUnit::handleResolvedRedirect()
                 _fetch->end = std::min(_fetch->end, r);
         }
     }
+    return true;
 }
 
 bool
@@ -153,15 +154,15 @@ TibFetchUnit::decoderStarving() const
     return head.start != *next || head.len < instSizeAt(*next);
 }
 
-void
+bool
 TibFetchUnit::startFetchIfNeeded()
 {
     if (_fetch)
-        return; // one outstanding request
+        return false; // one outstanding request
 
     if (_occupancy + _entryBytes > _bufferCapacity &&
         !decoderStarving())
-        return;
+        return false;
 
     Addr start = tailEnd();
     std::optional<Addr> fill_target;
@@ -202,7 +203,7 @@ TibFetchUnit::startFetchIfNeeded()
             // past the entry is launched.
             ++_tibHits;
             appendBytes(start, entry.validBytes);
-            return; // fetch for start+validBytes begins next tick
+            return true; // the fetch past the entry begins next tick
         }
         ++_tibMisses;
         entry.valid = true;
@@ -226,6 +227,7 @@ TibFetchUnit::startFetchIfNeeded()
     req.cls = demand ? ReqClass::IFetchDemand : ReqClass::IPrefetch;
     _want = req;
     ++_offchipFetches;
+    return true;
 }
 
 void
@@ -308,11 +310,14 @@ void
 TibFetchUnit::tick(Cycle now)
 {
     _obsNow = now;
-    handleResolvedRedirect();
+    bool active = handleResolvedRedirect();
     if (_want && _want->cls == ReqClass::IPrefetch &&
-        (decoderStarving() || _buffer.empty()))
+        (decoderStarving() || _buffer.empty())) {
         _want->cls = ReqClass::IFetchDemand;
-    startFetchIfNeeded();
+        active = true;
+    }
+    active |= startFetchIfNeeded();
+    _idle = !active;
 }
 
 bool

@@ -87,8 +87,9 @@ class TibFetchUnit : public FetchUnit
 
     TibEntry &entryFor(Addr target);
 
-    void handleResolvedRedirect();
-    void startFetchIfNeeded();
+    // Each per-tick step returns true if it changed any state.
+    bool handleResolvedRedirect();
+    bool startFetchIfNeeded();
     void appendBytes(Addr start, unsigned len);
     void truncateBufferAt(Addr r);
     Addr tailEnd() const;

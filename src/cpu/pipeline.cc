@@ -305,9 +305,40 @@ Pipeline::traced(const isa::FetchedInst &fi) const
     return Outcome{0, r.memAddr, r.branchTaken, r.branchTarget};
 }
 
+obs::CycleClass
+Pipeline::countStall(StallReason hazard, Cycle n)
+{
+    switch (hazard) {
+      case StallReason::RegBusy:
+        _issueStallRegBusy += n;
+        return obs::CycleClass::RegBusy;
+      case StallReason::LdqEmpty:
+        _issueStallLdqEmpty += n;
+        return obs::CycleClass::LoadDataWait;
+      case StallReason::SdqFull:
+        _issueStallSdqFull += n;
+        return obs::CycleClass::QueueFull;
+      case StallReason::LaqFull:
+        _issueStallLaqFull += n;
+        return obs::CycleClass::QueueFull;
+      case StallReason::LdqReserved:
+        _issueStallLdqReserved += n;
+        return obs::CycleClass::QueueFull;
+      case StallReason::SaqFull:
+        _issueStallSaqFull += n;
+        return obs::CycleClass::QueueFull;
+      case StallReason::None:
+        break;
+    }
+    panic("no stall to count");
+}
+
 void
 Pipeline::tick(Cycle now)
 {
+    IdleTick t;
+    t.idle = !_pendingResolve;
+
     // 1. PBR direction returns from ALU1 (one cycle after issue).
     if (_pendingResolve) {
         _fetch.branchResolved(_pendingResolve->taken,
@@ -333,38 +364,15 @@ Pipeline::tick(Cycle now)
     if (_halted) {
         cls = obs::CycleClass::Drain;
     } else if (_issueLatch) {
-        const StallReason hazard = issueHazard(_issueLatch->inst, now);
-        switch (hazard) {
-          case StallReason::None:
+        t.hazard = issueHazard(_issueLatch->inst, now);
+        if (t.hazard == StallReason::None) {
             execute(*_issueLatch, now);
             cls = _halted ? obs::CycleClass::Drain
                           : obs::CycleClass::Issue;
             _issueLatch.reset();
-            break;
-          case StallReason::RegBusy:
-            ++_issueStallRegBusy;
-            cls = obs::CycleClass::RegBusy;
-            break;
-          case StallReason::LdqEmpty:
-            ++_issueStallLdqEmpty;
-            cls = obs::CycleClass::LoadDataWait;
-            break;
-          case StallReason::SdqFull:
-            ++_issueStallSdqFull;
-            cls = obs::CycleClass::QueueFull;
-            break;
-          case StallReason::LaqFull:
-            ++_issueStallLaqFull;
-            cls = obs::CycleClass::QueueFull;
-            break;
-          case StallReason::LdqReserved:
-            ++_issueStallLdqReserved;
-            cls = obs::CycleClass::QueueFull;
-            break;
-          case StallReason::SaqFull:
-            ++_issueStallSaqFull;
-            cls = obs::CycleClass::QueueFull;
-            break;
+            t.idle = false;
+        } else {
+            cls = countStall(t.hazard, 1);
         }
     }
 
@@ -372,20 +380,49 @@ Pipeline::tick(Cycle now)
     if (!_issueLatch && _idLatch) {
         _issueLatch = _idLatch;
         _idLatch.reset();
+        t.idle = false;
     }
 
     // 4. Fetch into the decode latch.
     if (!_halted && !_idLatch) {
-        if (_fetch.instructionReady())
+        if (_fetch.instructionReady()) {
             _idLatch = _fetch.take();
-        else
+            t.idle = false;
+        } else {
             ++_fetchStarveCycles;
+            t.starved = true;
+        }
     }
 
     if (_cpiStack)
         _cpiStack->account(cls, _mem.demandFetchContended());
     if (_probes && _probes->cycleClass.active())
         _probes->cycleClass.notify(obs::CycleClassEvent{now, cls});
+    t.cls = cls;
+    _lastTick = t;
+}
+
+Cycle
+Pipeline::sourcesFree(Cycle last) const
+{
+    Cycle freed = last + 1;
+    for (std::uint8_t r : _issueLatch->inst.srcRegs())
+        if (r != isa::queueReg)
+            freed = std::max(freed, _regs.busyUntil(r));
+    return freed;
+}
+
+void
+Pipeline::repeatIdleTick(Cycle n)
+{
+    PIPESIM_ASSERT(_lastTick.idle, "repeating a tick that was not idle");
+    if (_lastTick.hazard != StallReason::None)
+        countStall(_lastTick.hazard, n);
+    if (_lastTick.starved)
+        _fetchStarveCycles += n;
+    _queues.repeatOccupancy(n);
+    if (_cpiStack)
+        _cpiStack->account(_lastTick.cls, _mem.demandFetchContended(), n);
 }
 
 void

@@ -96,6 +96,26 @@ class Pipeline
     /** Advance one cycle (called after the memory and fetch ticks). */
     void tick(Cycle now);
 
+    /**
+     * The idle skip (see Simulator): the first cycle after @p last
+     * whose tick may differ from a repeat of tick(@p last), assuming
+     * the fetch unit and memory stay as they are.  @p last + 1 unless
+     * that tick only stalled or starved; then the cycle the last busy
+     * source register frees up under a register stall, else
+     * neverCycle.
+     */
+    Cycle
+    nextEvent(Cycle last) const
+    {
+        if (!_lastTick.idle)
+            return last + 1;
+        return _lastTick.hazard == StallReason::RegBusy ? sourcesFree(last)
+                                                        : neverCycle;
+    }
+
+    /** Account @p n skipped repeats of the last tick's stall. */
+    void repeatIdleTick(Cycle n);
+
     /** @return true once HALT has issued. */
     bool halted() const { return _halted; }
 
@@ -196,6 +216,17 @@ class Pipeline
     };
 
     StallReason issueHazard(const isa::Instruction &inst, Cycle now) const;
+
+    /**
+     * The first cycle after @p last at which every busy source of the
+     * latched instruction has its result: a register stall's only
+     * clock comparison.
+     */
+    Cycle sourcesFree(Cycle last) const;
+
+    /** Count @p n cycles stalled on @p hazard; @return their class. */
+    obs::CycleClass countStall(StallReason hazard, Cycle n);
+
     void execute(const isa::FetchedInst &fi, Cycle now);
     Word readSource(unsigned r);
     Outcome compute(const isa::Instruction &inst, Word a, Word b);
@@ -242,6 +273,20 @@ class Pipeline
     /** The data port's candidates, refreshed by every peek. */
     MemRequest _loadReq;
     MemRequest _storeReq;
+
+    /**
+     * What the last tick did, for the idle skip: whether it left the
+     * pipeline as it was (no branch resolution, issue, latch move or
+     * take), and if so the stall and class it counted.
+     */
+    struct IdleTick
+    {
+        bool idle = false;
+        bool starved = false;
+        StallReason hazard = StallReason::None;
+        obs::CycleClass cls = obs::CycleClass::FetchStarve;
+    };
+    IdleTick _lastTick;
 
     bool _halted = false;
     Cycle _haltCycle = 0;

@@ -1,8 +1,5 @@
 #include "isa/opcodes.hh"
 
-#include <array>
-
-#include "common/log.hh"
 #include "common/strutil.hh"
 
 namespace pipesim::isa
@@ -11,53 +8,11 @@ namespace pipesim::isa
 namespace
 {
 
-constexpr std::array<OpcodeInfo, unsigned(Opcode::NumOpcodes)> infoTable = {{
-    // mnemonic  parcels rd    rs1    rs2    imm    load   store  branch
-    {"add",      1,      true,  true,  true,  false, false, false, false},
-    {"sub",      1,      true,  true,  true,  false, false, false, false},
-    {"and",      1,      true,  true,  true,  false, false, false, false},
-    {"or",       1,      true,  true,  true,  false, false, false, false},
-    {"xor",      1,      true,  true,  true,  false, false, false, false},
-    {"sll",      1,      true,  true,  true,  false, false, false, false},
-    {"srl",      1,      true,  true,  true,  false, false, false, false},
-    {"sra",      1,      true,  true,  true,  false, false, false, false},
-    {"addi",     2,      true,  true,  false, true,  false, false, false},
-    {"subi",     2,      true,  true,  false, true,  false, false, false},
-    {"andi",     2,      true,  true,  false, true,  false, false, false},
-    {"ori",      2,      true,  true,  false, true,  false, false, false},
-    {"xori",     2,      true,  true,  false, true,  false, false, false},
-    {"slli",     2,      true,  true,  false, true,  false, false, false},
-    {"srli",     2,      true,  true,  false, true,  false, false, false},
-    {"srai",     2,      true,  true,  false, true,  false, false, false},
-    {"li",       2,      true,  false, false, true,  false, false, false},
-    {"lui",      2,      true,  false, false, true,  false, false, false},
-    {"ld",       2,      false, true,  false, true,  true,  false, false},
-    {"ldx",      1,      false, true,  true,  false, true,  false, false},
-    {"st",       2,      false, true,  false, true,  false, true,  false},
-    {"stx",      1,      false, true,  true,  false, false, true,  false},
-    {"pbr",      1,      false, false, false, false, false, false, true},
-    {"lbr",      2,      false, false, false, true,  false, false, false},
-    {"mov",      1,      true,  true,  false, false, false, false, false},
-    {"not",      1,      true,  true,  false, false, false, false, false},
-    {"neg",      1,      true,  true,  false, false, false, false, false},
-    {"nop",      1,      false, false, false, false, false, false, false},
-    {"rsw",      1,      false, false, false, false, false, false, false},
-    {"halt",     1,      false, false, false, false, false, false, false},
-}};
-
 constexpr std::array<std::string_view, 7> condNames = {
     "always", "eqz", "nez", "ltz", "gez", "gtz", "lez",
 };
 
 } // namespace
-
-const OpcodeInfo &
-opcodeInfo(Opcode op)
-{
-    const auto idx = unsigned(op);
-    PIPESIM_ASSERT(idx < infoTable.size(), "bad opcode ", idx);
-    return infoTable[idx];
-}
 
 std::string_view
 mnemonic(Opcode op)
@@ -68,8 +23,8 @@ mnemonic(Opcode op)
 std::optional<Opcode>
 opcodeFromMnemonic(std::string_view name)
 {
-    for (unsigned i = 0; i < infoTable.size(); ++i)
-        if (iequals(infoTable[i].mnemonic, name))
+    for (unsigned i = 0; i < detail::infoTable.size(); ++i)
+        if (iequals(detail::infoTable[i].mnemonic, name))
             return Opcode(i);
     return std::nullopt;
 }

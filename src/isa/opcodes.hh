@@ -7,8 +7,11 @@
 #ifndef PIPESIM_ISA_OPCODES_HH
 #define PIPESIM_ISA_OPCODES_HH
 
+#include <array>
 #include <optional>
 #include <string_view>
+
+#include "common/log.hh"
 
 namespace pipesim::isa
 {
@@ -64,8 +67,57 @@ struct OpcodeInfo
     bool isBranch;       //!< is the prepare-to-branch instruction
 };
 
-/** @return the trait record for @p op. */
-const OpcodeInfo &opcodeInfo(Opcode op);
+namespace detail
+{
+
+inline constexpr std::array<OpcodeInfo, unsigned(Opcode::NumOpcodes)>
+    infoTable = {{
+    // mnemonic  parcels rd    rs1    rs2    imm    load   store  branch
+    {"add",      1,      true,  true,  true,  false, false, false, false},
+    {"sub",      1,      true,  true,  true,  false, false, false, false},
+    {"and",      1,      true,  true,  true,  false, false, false, false},
+    {"or",       1,      true,  true,  true,  false, false, false, false},
+    {"xor",      1,      true,  true,  true,  false, false, false, false},
+    {"sll",      1,      true,  true,  true,  false, false, false, false},
+    {"srl",      1,      true,  true,  true,  false, false, false, false},
+    {"sra",      1,      true,  true,  true,  false, false, false, false},
+    {"addi",     2,      true,  true,  false, true,  false, false, false},
+    {"subi",     2,      true,  true,  false, true,  false, false, false},
+    {"andi",     2,      true,  true,  false, true,  false, false, false},
+    {"ori",      2,      true,  true,  false, true,  false, false, false},
+    {"xori",     2,      true,  true,  false, true,  false, false, false},
+    {"slli",     2,      true,  true,  false, true,  false, false, false},
+    {"srli",     2,      true,  true,  false, true,  false, false, false},
+    {"srai",     2,      true,  true,  false, true,  false, false, false},
+    {"li",       2,      true,  false, false, true,  false, false, false},
+    {"lui",      2,      true,  false, false, true,  false, false, false},
+    {"ld",       2,      false, true,  false, true,  true,  false, false},
+    {"ldx",      1,      false, true,  true,  false, true,  false, false},
+    {"st",       2,      false, true,  false, true,  false, true,  false},
+    {"stx",      1,      false, true,  true,  false, false, true,  false},
+    {"pbr",      1,      false, false, false, false, false, false, true},
+    {"lbr",      2,      false, false, false, true,  false, false, false},
+    {"mov",      1,      true,  true,  false, false, false, false, false},
+    {"not",      1,      true,  true,  false, false, false, false, false},
+    {"neg",      1,      true,  true,  false, false, false, false, false},
+    {"nop",      1,      false, false, false, false, false, false, false},
+    {"rsw",      1,      false, false, false, false, false, false, false},
+    {"halt",     1,      false, false, false, false, false, false, false},
+}};
+
+} // namespace detail
+
+/**
+ * @return the trait record for @p op.  Inline: the pipeline and the
+ * fetch units consult it for every instruction they handle.
+ */
+inline const OpcodeInfo &
+opcodeInfo(Opcode op)
+{
+    const auto idx = unsigned(op);
+    PIPESIM_ASSERT(idx < detail::infoTable.size(), "bad opcode ", idx);
+    return detail::infoTable[idx];
+}
 
 /** @return the mnemonic for @p op. */
 std::string_view mnemonic(Opcode op);

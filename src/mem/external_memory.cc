@@ -34,14 +34,19 @@ ExternalMemory::accept(const MemRequest &req, Cycle now)
     _inflight.push_back(InFlight{req, ready});
 }
 
-void
+bool
 ExternalMemory::tick(Cycle now)
 {
-    if (!_inflight.empty())
-        ++_busyCycles;
+    if (_inflight.empty())
+        return false;
+    ++_busyCycles;
+    bool retired = false;
     while (!_inflight.empty() && _inflight.front().req.isStore &&
-           _inflight.front().readyAt <= now)
+           _inflight.front().readyAt <= now) {
         _inflight.pop_front();
+        retired = true;
+    }
+    return retired;
 }
 
 const MemRequest *

@@ -53,8 +53,30 @@ class ExternalMemory
     /**
      * Retire completed stores from the head of the in-flight queue
      * (stores need no bus transfer and complete silently).
+     * @return true if a store retired.
      */
-    void tick(Cycle now);
+    bool tick(Cycle now);
+
+    /**
+     * The first cycle after @p last at which the head request becomes
+     * ready (a store retires, a response may start its transfer), or
+     * neverCycle.
+     */
+    Cycle
+    nextEvent(Cycle last) const
+    {
+        if (_inflight.empty() || _inflight.front().readyAt <= last)
+            return neverCycle;
+        return _inflight.front().readyAt;
+    }
+
+    /** Account @p n skipped ticks that changed nothing. */
+    void
+    repeatIdleTick(Cycle n)
+    {
+        if (!_inflight.empty())
+            _busyCycles += n;
+    }
 
     /**
      * The in-flight load/ifetch at the head of the queue if its data

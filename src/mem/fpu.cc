@@ -1,5 +1,6 @@
 #include "mem/fpu.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hh"
@@ -103,6 +104,16 @@ FpuDevice::pendingReads() const
     for (const auto &q : _reads)
         n += q.size();
     return n;
+}
+
+Cycle
+FpuDevice::nextEvent(Cycle last) const
+{
+    Cycle next = neverCycle;
+    for (const auto &kind : _results)
+        if (!kind.empty() && kind.front().readyAt > last)
+            next = std::min(next, kind.front().readyAt);
+    return next;
 }
 
 void

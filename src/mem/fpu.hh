@@ -96,6 +96,12 @@ class FpuDevice
     /** @return number of reads waiting for results. */
     std::size_t pendingReads() const;
 
+    /**
+     * The first cycle after @p last at which a result becomes ready,
+     * or neverCycle.
+     */
+    Cycle nextEvent(Cycle last) const;
+
     void regStats(StatGroup &stats, const std::string &prefix);
 
     Cycle latency() const { return _latency; }

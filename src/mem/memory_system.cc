@@ -28,32 +28,48 @@ void
 MemorySystem::tick(Cycle now)
 {
     _demandFetchContended = false;
-    _extMem.tick(now);
-    deliverLocalResponse(now);
-    deliverInputBus(now);
-    serviceDcache(now);
-    acceptOutputBus(now);
+    bool active = _extMem.tick(now);
+    active |= deliverLocalResponse(now);
+    active |= deliverInputBus(now);
+    active |= serviceDcache(now);
+    active |= acceptOutputBus(now);
+    _idle = !active;
+}
+
+Cycle
+MemorySystem::nextEvent(Cycle last) const
+{
+    if (!_idle)
+        return last + 1;
+    // An idle tick compares the clock only with ready times: the
+    // external memory's head, the FPU results and the data-cache hit
+    // at the head of the local responses.  A response that is ready
+    // but out of LDQ order stays blocked until another one moves.
+    Cycle next = std::min(_extMem.nextEvent(last), _fpu.nextEvent(last));
+    if (!_localResponses.empty() && _localResponses.front().readyAt > last)
+        next = std::min(next, _localResponses.front().readyAt);
+    return next;
 }
 
 /**
  * Data-cache port: service the data client's head if it is a hit
  * load (at most one per cycle; no bus or external memory involved).
  */
-void
+bool
 MemorySystem::serviceDcache(Cycle now)
 {
     if (!_dcache || !_dataClient)
-        return;
+        return false;
     const MemRequest *req = _dataClient->peek();
     if (!req || req->isStore || FpuDevice::contains(req->addr))
-        return;
+        return false;
     if (!_dcache->bytesValid(req->addr, req->bytes)) {
-        if (_lastDcacheMissSeq != req->dataSeq) {
-            _dcache->recordLookup(false);
-            ++_dcacheMisses;
-            _lastDcacheMissSeq = req->dataSeq;
-        }
-        return; // falls through to the off-chip path this cycle
+        if (_lastDcacheMissSeq == req->dataSeq)
+            return false; // falls through to the off-chip path
+        _dcache->recordLookup(false);
+        ++_dcacheMisses;
+        _lastDcacheMissSeq = req->dataSeq;
+        return true;
     }
     _dcache->recordLookup(true);
     ++_dcacheHits;
@@ -61,20 +77,22 @@ MemorySystem::serviceDcache(Cycle now)
     _localResponses.push_back(
         LocalResponse{*req, _dataMem.readWord(req->addr), now + 1});
     _dataClient->accepted();
+    return true;
 }
 
 /** Deliver at most one ready data-cache hit, in LDQ order. */
-void
+bool
 MemorySystem::deliverLocalResponse(Cycle now)
 {
     if (_localResponses.empty())
-        return;
+        return false;
     LocalResponse &resp = _localResponses.front();
     if (resp.readyAt > now ||
         resp.req.dataSeq != _nextDataDeliverSeq)
-        return;
+        return false;
     finish(resp.req, resp.value);
     _localResponses.pop_front();
+    return true;
 }
 
 MemClient &
@@ -199,13 +217,15 @@ MemorySystem::deliverBeat(Cycle now)
     }
 }
 
-void
+bool
 MemorySystem::deliverInputBus(Cycle now)
 {
     if (!_transfer)
         selectTransfer(now);
-    if (_transfer)
-        deliverBeat(now);
+    if (!_transfer)
+        return false;
+    deliverBeat(now);
+    return true;
 }
 
 bool
@@ -281,7 +301,7 @@ MemorySystem::tryAccept(MemClient *client, Cycle now)
     return true;
 }
 
-void
+bool
 MemorySystem::acceptOutputBus(Cycle now)
 {
     std::array<MemClient *, 3> order;
@@ -304,8 +324,9 @@ MemorySystem::acceptOutputBus(Cycle now)
             if (const MemRequest *loser = order[j]->peek())
                 noteContention(now, loser->cls);
         }
-        return;
+        return true;
     }
+    return false;
 }
 
 void

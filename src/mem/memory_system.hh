@@ -104,6 +104,20 @@ class MemorySystem
     /** Advance one cycle. */
     void tick(Cycle now);
 
+    /**
+     * The idle skip (see Simulator): the first cycle after @p last
+     * whose tick may differ from a repeat of tick(@p last), assuming
+     * the clients stay as they are.  @p last + 1 unless that tick
+     * moved nothing (no store retired, no response delivered or
+     * selected, no data-cache service, no grant); then the next
+     * cycle an external-memory request, an FPU result or a data-cache
+     * hit becomes ready, else neverCycle.
+     */
+    Cycle nextEvent(Cycle last) const;
+
+    /** Account @p n skipped repeats of the last tick. */
+    void repeatIdleTick(Cycle n) { _extMem.repeatIdleTick(n); }
+
     FpuDevice &fpu() { return _fpu; }
     const FpuDevice &fpu() const { return _fpu; }
     ExternalMemory &externalMemory() { return _extMem; }
@@ -164,13 +178,14 @@ class MemorySystem
         bool corrupted = false;
     };
 
-    void deliverInputBus(Cycle now);
+    // Each per-tick step returns true if it changed any state.
+    bool deliverInputBus(Cycle now);
     void selectTransfer(Cycle now);
     void deliverBeat(Cycle now);
-    void acceptOutputBus(Cycle now);
+    bool acceptOutputBus(Cycle now);
     bool tryAccept(MemClient *client, Cycle now);
-    void serviceDcache(Cycle now);
-    void deliverLocalResponse(Cycle now);
+    bool serviceDcache(Cycle now);
+    bool deliverLocalResponse(Cycle now);
 
     /** True if this response may start transferring now. */
     bool deliverable(const MemRequest &req) const;
@@ -200,6 +215,9 @@ class MemorySystem
 
     std::optional<Transfer> _transfer;
     bool _demandFetchContended = false;
+
+    /** The last tick changed nothing but counters (see nextEvent). */
+    bool _idle = false;
 
     /** On-chip data cache state (extension; see MemSystemConfig). */
     std::optional<SubblockCache> _dcache;

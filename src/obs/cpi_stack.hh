@@ -35,15 +35,15 @@ class CpiStack
 {
   public:
     /**
-     * Attribute one tick of class @p cls; @p fetchContended turns a
-     * FetchStarve tick into BusContention.
+     * Attribute @p n ticks of class @p cls; @p fetchContended turns
+     * FetchStarve ticks into BusContention.
      */
     void
-    account(CycleClass cls, bool fetchContended)
+    account(CycleClass cls, bool fetchContended, std::uint64_t n = 1)
     {
         if (cls == CycleClass::FetchStarve && fetchContended)
             cls = CycleClass::BusContention;
-        ++_components[unsigned(cls)];
+        _components[unsigned(cls)] += n;
     }
 
     /** Cycles attributed to @p cls so far. */

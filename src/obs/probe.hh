@@ -202,6 +202,16 @@ struct ProbeBus
     ProbePoint<BusGrantEvent> busGrant;
     ProbePoint<BusContentionEvent> busContention;
     ProbePoint<QueueSampleEvent> queueSample;
+
+    /** True if any point has a listener. */
+    bool
+    anyActive() const
+    {
+        return cycleClass.active() || retire.active() ||
+               fetchRequest.active() || fetchFill.active() ||
+               icacheAccess.active() || busGrant.active() ||
+               busContention.active() || queueSample.active();
+    }
 };
 
 } // namespace pipesim::obs

@@ -13,6 +13,7 @@
 #ifndef PIPESIM_QUEUE_ARCH_QUEUES_HH
 #define PIPESIM_QUEUE_ARCH_QUEUES_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/state_io.hh"
@@ -58,67 +59,37 @@ class ArchQueues
     const FixedQueue<PendingAccess> &saq() const { return _saq; }
     const FixedQueue<Word> &sdq() const { return _sdq; }
 
-    /** Sample per-cycle occupancies (called once per cycle). */
+    /**
+     * Sample per-cycle occupancies (called once per cycle).  The
+     * histograms keep runs of equal occupancy, so a cycle that leaves
+     * the queues as they were costs four compares.
+     */
     void sampleOccupancy();
+
+    /** Record the last sampled occupancies for @p n more cycles. */
+    void repeatOccupancy(std::uint64_t n);
 
     /** Register occupancy statistics under @p prefix. */
     void regStats(StatGroup &stats, const std::string &prefix);
 
     /**
-     * Serialize queue contents for a checkpoint.  The occupancy
-     * histograms are deliberately skipped: they never surface in the
-     * counter set that sampled replay compares and accumulates
-     * (StatGroup::counterNames covers counters only).
+     * Serialize queue contents and the occupancy histograms (open
+     * runs included) for a checkpoint.
      */
-    void saveState(StateWriter &w) const
-    {
-        auto savePending = [&](const FixedQueue<PendingAccess> &q) {
-            w.u32(std::uint32_t(q.size()));
-            for (std::size_t i = 0; i < q.size(); ++i) {
-                w.u64(q.at(i).seq);
-                w.u32(q.at(i).addr);
-            }
-        };
-        auto saveWords = [&](const FixedQueue<Word> &q) {
-            w.u32(std::uint32_t(q.size()));
-            for (std::size_t i = 0; i < q.size(); ++i)
-                w.u32(q.at(i));
-        };
-        savePending(_laq);
-        saveWords(_ldq);
-        savePending(_saq);
-        saveWords(_sdq);
-    }
+    void saveState(StateWriter &w) const;
 
-    void restoreState(StateReader &r)
-    {
-        auto loadPending = [&](FixedQueue<PendingAccess> &q) {
-            q.clear();
-            const std::uint32_t n = r.u32();
-            if (n > q.capacity())
-                r.fail("queue holds ", n, " > capacity ", q.capacity());
-            for (std::uint32_t i = 0; i < n; ++i) {
-                PendingAccess a;
-                a.seq = r.u64();
-                a.addr = r.u32();
-                q.push(a);
-            }
-        };
-        auto loadWords = [&](FixedQueue<Word> &q) {
-            q.clear();
-            const std::uint32_t n = r.u32();
-            if (n > q.capacity())
-                r.fail("queue holds ", n, " > capacity ", q.capacity());
-            for (std::uint32_t i = 0; i < n; ++i)
-                q.push(r.u32());
-        };
-        loadPending(_laq);
-        loadWords(_ldq);
-        loadPending(_saq);
-        loadWords(_sdq);
-    }
+    void restoreState(StateReader &r);
 
   private:
+    /** The occupancy histograms, in LAQ, LDQ, SAQ, SDQ order. */
+    template <class Self>
+    static auto
+    occupancy(Self &self)
+    {
+        return std::array{&self._laqOcc, &self._ldqOcc, &self._saqOcc,
+                          &self._sdqOcc};
+    }
+
     FixedQueue<PendingAccess> _laq;
     FixedQueue<Word> _ldq;
     FixedQueue<PendingAccess> _saq;

@@ -52,8 +52,9 @@ namespace pipesim::replay
  * Current (and only) checkpoint format version.  Version 2: the
  * payload is Simulator::saveState, which adds the retired-PC ring
  * and the CPI stack's components to version 1's replay-machine state.
+ * Version 3 adds the queue-occupancy histograms, open runs included.
  */
-inline constexpr std::uint32_t checkpointFormatVersion = 2;
+inline constexpr std::uint32_t checkpointFormatVersion = 3;
 
 /** Checkpoint identity: the cache key plus provenance. */
 struct CheckpointMeta

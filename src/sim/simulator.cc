@@ -1,5 +1,6 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -80,6 +81,7 @@ Simulator::step()
     _fetch->tick(_now);
     _mem->tick(_now);
     _pipeline->tick(_now);
+    ++_ticksExecuted;
 
     if (_pipeline->instructionsRetired() != _lastRetired) {
         _lastRetired = _pipeline->instructionsRetired();
@@ -117,6 +119,39 @@ Simulator::checkWatchdogs()
 }
 
 void
+Simulator::skipIdleCycles()
+{
+    // Cheapest refusal first: on a busy cycle the pipeline issued.
+    const Cycle last = _now - 1;
+    Cycle next = _pipeline->nextEvent(last);
+    if (next <= _now)
+        return;
+    next = std::min(next, _mem->nextEvent(last));
+    if (next <= _now)
+        return;
+    next = std::min(next, _fetch->nextEvent(last));
+
+    // The clock watchdogs are monotone in _now and nothing retires
+    // while idle, so stopping at the first clock value that trips one
+    // aborts at the same cycle, with the same message, as ticking.
+    const auto plus = [](Cycle a, Cycle b) {
+        return a > neverCycle - b ? neverCycle : a + b;
+    };
+    next = std::min(next, plus(_config.maxCycles, 1));
+    if (!_pipeline->halted())
+        next = std::min(next, plus(_lastProgressCycle,
+                                   plus(_config.progressWindow, 1)));
+    if (next <= _now)
+        return;
+
+    const Cycle n = next - _now;
+    _fetch->repeatIdleTick(n);
+    _mem->repeatIdleTick(n);
+    _pipeline->repeatIdleTick(n);
+    _now = next;
+}
+
+void
 Simulator::runLoopProfiled()
 {
     obs::ScopedPhase runPhase("sim.run", obs::Scope::Coarse);
@@ -151,6 +186,7 @@ Simulator::runLoopProfiled()
             memNs += t2 - t1;
             pipeNs += t3 - t2;
             ++cycles;
+            ++_ticksExecuted;
             if (_pipeline->instructionsRetired() != _lastRetired) {
                 _lastRetired = _pipeline->instructionsRetired();
                 _lastProgressCycle = _now;
@@ -202,9 +238,14 @@ Simulator::run()
 void
 Simulator::runUntil(std::size_t record)
 {
-    withSnapshot(*this, [this, record] {
+    // Skipping is exact only when no one watches single cycles and no
+    // random stream is drawn per cycle.
+    const bool skip = !_faultInjector && !_probes.anyActive();
+    withSnapshot(*this, [this, record, skip] {
         while (!done() && _pipeline->cursor() < record) {
             step();
+            if (skip)
+                skipIdleCycles();
             checkWatchdogs();
         }
     });

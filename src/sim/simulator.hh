@@ -11,6 +11,14 @@
  * generation) -> memory system (output-bus acceptance, input-bus
  * delivery) -> pipeline (issue, branch resolution, fetch
  * consumption).
+ *
+ * Idle skip: when a cycle leaves every component as it was (nothing
+ * issued, moved on a bus or was requested; only stall counters
+ * grew), the following cycles repeat it until some component's clock
+ * comparison flips.  runUntil() then asks each component for that
+ * next event and jumps straight to it, adding the repeated counts in
+ * bulk, so results are identical to ticking every cycle
+ * (docs/internals.md, "Idle skip").
  */
 
 #ifndef PIPESIM_SIM_SIMULATOR_HH
@@ -91,13 +99,21 @@ class Simulator
      * the pipeline's cursor reaches @p record.  The plain loop, with
      * zero host-profiling cost: the replay engine attributes its own
      * phases, and pooled windows must not touch the profiler from
-     * worker threads.
+     * worker threads.  It skips idle cycles unless a fault injector
+     * is present or a probe listener is attached.
      * @throws SimAbort carrying a machine snapshot.
      */
     void runUntil(std::size_t record);
 
     /** Advance a single cycle (for fine-grained tests). */
     void step();
+
+    /**
+     * Cycles this object ticked (a host-side work counter, not a
+     * SimResult counter): now() minus the cycles the idle skip jumped
+     * over, for a machine that was not restored from a checkpoint.
+     */
+    std::uint64_t ticksExecuted() const { return _ticksExecuted; }
 
     /** @return true when the machine has halted and drained. */
     bool done() const;
@@ -165,6 +181,12 @@ class Simulator
     /** Watchdog checks shared by both loops. */
     void checkWatchdogs();
 
+    /**
+     * After an idle step, jump the clock to the components' earliest
+     * next event, never past the cycle at which a watchdog fires.
+     */
+    void skipIdleCycles();
+
     SimConfig _config;
     const Program &_program;
     std::unique_ptr<DataMemory> _ownedDataMem;
@@ -180,6 +202,7 @@ class Simulator
     Cycle _now = 0;
     Cycle _lastProgressCycle = 0;
     std::uint64_t _lastRetired = 0;
+    std::uint64_t _ticksExecuted = 0;
 };
 
 /** Convenience: build, run and tear down a simulator in one call. */

@@ -527,19 +527,19 @@ TEST(CheckpointCorruptionTest, OldFormatVersionIsFatal)
     // be refused by version, not by checksum.
     CheckpointSet set = sampleSet(2);
     std::vector<std::uint8_t> bytes = encodeCheckpoint(set);
-    ASSERT_EQ(checkpointFormatVersion, 2u);
-    bytes[8] = 1; // u32 version, little-endian, right after the magic
+    ASSERT_EQ(checkpointFormatVersion, 3u);
+    bytes[8] = 2; // u32 version, little-endian, right after the magic
     const std::size_t bodyLen = bytes.size() - 32;
     Sha256 h;
     h.update(bytes.data(), bodyLen);
     const auto digest = h.digest();
     std::copy(digest.begin(), digest.end(), bytes.begin() + bodyLen);
     try {
-        decodeCheckpoint(bytes, "version-1 file");
+        decodeCheckpoint(bytes, "version-2 file");
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find(
-                      "unsupported format version 1"),
+                      "unsupported format version 2"),
                   std::string::npos)
             << e.what();
     }
@@ -647,6 +647,46 @@ TEST(CycleCheckpointTest, MidRunRestoreFinishesIdentically)
                     << what << " kernel " << k + 1 << ": " << diag;
             }
         }
+    }
+}
+
+TEST(CycleCheckpointTest, RestoredRunDumpsTheSameStatistics)
+{
+    // The queue-occupancy histograms (open runs included) are part of
+    // the saved state, so a run restored mid-way reports every
+    // statistic of the uninterrupted run, not only its counters.
+    const auto bench = workloads::buildLivermoreBenchmark(0.03);
+    const Program &program = bench.program;
+
+    std::vector<SimConfig> configs(3);
+    configs[0].fetch = conventionalConfigFor(128, 16);
+    configs[1].fetch = pipeConfigFor("16-16", 128);
+    configs[2].fetch = tibConfigFor(128);
+
+    for (const SimConfig &cfg : configs) {
+        Simulator cold(cfg, program);
+        cold.run();
+        const std::string want = cold.stats().dump();
+        for (const char *q : {"laq", "ldq", "saq", "sdq"})
+            ASSERT_NE(want.find(std::string("cpu.queues.") + q +
+                                "_occupancy"),
+                      std::string::npos);
+
+        Simulator a(cfg, program);
+        while (a.now() < cold.now() / 2)
+            a.step();
+        StateWriter w;
+        a.saveState(w);
+        a.dataMemory().saveDirtyPages(w);
+        const std::vector<std::uint8_t> payload = w.take();
+
+        Simulator b(cfg, program);
+        StateReader r(payload, cfg.fetchName());
+        b.restoreState(r);
+        b.dataMemory().restoreDirtyPages(r);
+        r.expectEnd();
+        b.run();
+        EXPECT_EQ(b.stats().dump(), want) << cfg.fetchName();
     }
 }
 

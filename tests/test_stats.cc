@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "common/state_io.hh"
 #include "common/stats.hh"
 #include "common/log.hh"
 
@@ -47,6 +51,39 @@ TEST(HistogramTest, ResetClearsEverything)
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
     for (auto b : h.buckets())
         EXPECT_EQ(b, 0u);
+}
+
+TEST(HistogramTest, RunsReadLikeSingleSamples)
+{
+    // Run-length encoded samples, repeat() and a checkpoint round
+    // trip (open run included) read exactly like one sample at a time:
+    // 3 x5, 0 x2, 9 x4, 1 x5, 3 x2.
+    Histogram h(2, 3);
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> seq = {
+        {3, 1}, {3, 4}, {0, 2}, {9, 1}, {9, 3}, {1, 5}, {3, 2}};
+    for (const auto &[value, n] : seq) {
+        h.sample(value);
+        h.repeat(n - 1);
+    }
+    StateWriter w;
+    h.saveState(w);
+    const std::vector<std::uint8_t> bytes = w.take();
+    Histogram restored(2, 3);
+    StateReader r(bytes, "histogram");
+    restored.restoreState(r);
+    r.expectEnd();
+    for (const Histogram *read : {&h, &restored}) {
+        EXPECT_EQ(read->count(), 18u);
+        EXPECT_EQ(read->sum(), 62u);
+        EXPECT_EQ(read->min(), 0u);
+        EXPECT_EQ(read->max(), 9u);
+        EXPECT_EQ(read->buckets(),
+                  (std::vector<std::uint64_t>{7, 7, 0, 4}));
+        EXPECT_DOUBLE_EQ(read->mean(), 62.0 / 18.0);
+    }
+    Histogram otherShape(2, 4);
+    StateReader mismatched(bytes, "histogram");
+    EXPECT_THROW(otherShape.restoreState(mismatched), FatalError);
 }
 
 TEST(HistogramTest, RejectsBadParameters)
