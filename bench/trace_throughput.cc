@@ -3,11 +3,16 @@
  * cycle simulator vs. exact trace replay vs. sampled trace replay on
  * the same workloads, plus each engine's cycle estimate so the
  * speed/accuracy trade is visible in one table (docs/trace_replay.md;
- * results in results/trace_replay.md).
+ * results in results/trace_replay.md).  Next to wall-clock it reports
+ * each engine's ticks executed per simulated cycle: host work the
+ * idle skip and the loop memo did not save, a deterministic counter
+ * that does not move with host noise.
  */
 
+#include <array>
 #include <chrono>
 #include <iostream>
+#include <limits>
 
 #include "bench_common.hh"
 #include "obs/bench_json.hh"
@@ -34,6 +39,55 @@ secondsOf(const std::function<void()> &body, unsigned reps)
                         std::chrono::duration<double>(t1 - t0).count());
     }
     return best;
+}
+
+/** Ticks executed over cycles, summed over the machines added. */
+struct Work
+{
+    std::uint64_t ticks = 0;
+    std::uint64_t cycles = 0;
+
+    void
+    add(const Simulator &sim)
+    {
+        ticks += sim.ticksExecuted();
+        cycles += sim.now();
+    }
+
+    double perCycle() const { return cycles ? double(ticks) / cycles : 0; }
+};
+
+/**
+ * An untimed pass that counts each engine's work: the cycle engine's
+ * run, the exact replay, and every planned sampling window's warm-up
+ * and measured spans.
+ */
+std::array<Work, 3>
+countWork(const SimConfig &cfg, const Program &program,
+          const replay::Trace &trace, const replay::ReplayOptions &sampled)
+{
+    std::array<Work, 3> work;
+    Simulator cycle(cfg, program);
+    cycle.run();
+    work[0].add(cycle);
+
+    DataMemory mem;
+    mem.loadProgram(program);
+    Simulator exact(cfg, program, mem, &trace);
+    exact.runUntil(std::numeric_limits<std::size_t>::max());
+    work[1].add(exact);
+
+    const auto plan = replay::planSampleWindows(
+        trace.records.size(), replay::computeSyncPoints(program, trace),
+        sampled);
+    for (const replay::SampleWindow &win : plan) {
+        Simulator m(cfg, program, mem, &trace, win.start);
+        m.fetchUnit().reset(trace.records[win.start].pc);
+        m.runUntil(win.warmEnd);
+        m.runUntil(win.measureEnd);
+        work[2].add(m);
+    }
+    return work;
 }
 
 int
@@ -87,7 +141,7 @@ run(int argc, char **argv)
     report.config["reps"] = cli.get("reps");
 
     Table table({"workload", "insts", "engine", "est_cycles",
-                 "wall_ms", "minsts_per_s", "speedup"});
+                 "wall_ms", "minsts_per_s", "speedup", "ticks_per_cycle"});
     for (const auto &w : workloads) {
         const replay::Trace trace =
             replay::captureTrace(cfg, w.program, "throughput bench");
@@ -106,9 +160,11 @@ run(int argc, char **argv)
                                                  sampled);
             },
             reps);
+        const auto work = countWork(cfg, w.program, trace, sampled);
 
         const auto row = [&](const std::string &engine,
-                             const SimResult &res, double secs) {
+                             const SimResult &res, double secs,
+                             const Work &engineWork) {
             table.beginRow();
             table.cell(w.name);
             table.cell(std::uint64_t(insts));
@@ -117,6 +173,7 @@ run(int argc, char **argv)
             table.cell(secs * 1e3);
             table.cell(insts / secs / 1e6);
             table.cell(cycleS / secs);
+            table.cell(engineWork.perCycle(), 4);
 
             obs::BenchRecord &rec = report.add(w.name + "/" + engine);
             rec.config["workload"] = w.name;
@@ -131,10 +188,11 @@ run(int argc, char **argv)
             rec.metrics["wall_ms"] = secs * 1e3;
             rec.metrics["minsts_per_s"] = insts / secs / 1e6;
             rec.metrics["speedup_vs_cycle"] = cycleS / secs;
+            rec.metrics["ticks_per_cycle"] = engineWork.perCycle();
         };
-        row("cycle", cycleRes, cycleS);
-        row("trace-exact", exactRes, exactS);
-        row("trace-sampled", sampledRes, sampledS);
+        row("cycle", cycleRes, cycleS, work[0]);
+        row("trace-exact", exactRes, exactS, work[1]);
+        row("trace-sampled", sampledRes, sampledS, work[2]);
     }
     std::cout << (cli.getFlag("csv") ? table.toCsv() : table.toText())
               << "\n";

@@ -85,9 +85,9 @@ class InstructionCache
             w.u32(l.base);
             w.u32(l.validBytes);
         }
-        w.u64(_hits.value());
-        w.u64(_misses.value());
-        w.u64(_fills.value());
+        w.count(_hits.value());
+        w.count(_misses.value());
+        w.count(_fills.value());
     }
 
     void restoreState(StateReader &r)

@@ -84,13 +84,13 @@ Histogram::saveState(StateWriter &w) const
 {
     w.u32(std::uint32_t(_buckets.size()));
     for (std::uint64_t b : _buckets)
-        w.u64(b);
-    w.u64(_count);
-    w.u64(_sum);
+        w.count(b);
+    w.count(_count);
+    w.count(_sum);
     w.u64(_min);
     w.u64(_max);
     w.u64(_runValue);
-    w.u64(_runLen);
+    w.count(_runLen);
 }
 
 void

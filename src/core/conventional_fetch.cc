@@ -285,9 +285,9 @@ ConventionalFetchUnit::saveState(StateWriter &w) const
     w.b(_missRecordedFor.has_value());
     if (_missRecordedFor)
         w.u32(*_missRecordedFor);
-    w.u64(_deliveredInsts.value());
-    w.u64(_demandFetches.value());
-    w.u64(_prefetchFetches.value());
+    w.count(_deliveredInsts.value());
+    w.count(_demandFetches.value());
+    w.count(_prefetchFetches.value());
 }
 
 void

@@ -261,8 +261,9 @@ class FetchUnit
     {
         w.u32(_parityRetryLimit);
         w.u32(_consecutiveParityErrors);
-        w.u64(_parityRetries.value());
-        w.u64(_obsNow);
+        w.count(_parityRetries.value());
+        // Only stamps probe events: never compared with the clock.
+        w.stamp(_obsNow);
     }
 
     void restoreBaseState(StateReader &r)

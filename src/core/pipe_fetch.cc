@@ -476,13 +476,13 @@ PipeFetchUnit::saveState(StateWriter &w) const
     if (_want)
         saveMemRequest(w, *_want);
     w.b(_offchipInFlight);
-    w.u64(_squashDoneId);
-    w.u64(_targetPlannedId);
-    w.u64(_deliveredInsts.value());
-    w.u64(_offchipDemandLines.value());
-    w.u64(_offchipPrefetchLines.value());
-    w.u64(_squashedBytes.value());
-    w.u64(_blockedOnGuarantee.value());
+    _follower.saveId(w, _squashDoneId);
+    _follower.saveId(w, _targetPlannedId);
+    w.count(_deliveredInsts.value());
+    w.count(_offchipDemandLines.value());
+    w.count(_offchipPrefetchLines.value());
+    w.count(_squashedBytes.value());
+    w.count(_blockedOnGuarantee.value());
 }
 
 void

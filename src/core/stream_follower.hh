@@ -101,14 +101,25 @@ class StreamFollower
      */
     std::uint64_t frontId() const;
 
+    /**
+     * Save a redirect id the owner compares only for equality with
+     * frontId(): relative to the next id, and as "none" once older
+     * than the front (see StateWriter::seq).
+     */
+    void
+    saveId(StateWriter &w, std::uint64_t id) const
+    {
+        w.seq(id, _nextId, _nextId - _pending.size());
+    }
+
     void saveState(StateWriter &w) const
     {
         w.u32(_next);
-        w.u64(_nextId);
+        w.count(_nextId);
         w.u32(std::uint32_t(_pending.size()));
         for (const Pending &p : _pending) {
             w.u32(p.slotsLeft);
-            w.u64(p.id);
+            w.seq(p.id, _nextId);
             w.b(p.resolvedFlag);
             w.b(p.taken);
             w.u32(p.target);

@@ -415,16 +415,16 @@ TibFetchUnit::saveState(StateWriter &w) const
     if (_want)
         saveMemRequest(w, *_want);
     w.b(_offchipInFlight);
-    w.u64(_squashDoneId);
-    w.u64(_targetPlannedId);
+    _follower.saveId(w, _squashDoneId);
+    _follower.saveId(w, _targetPlannedId);
     w.u32(std::uint32_t(_pendingTargets.size()));
     for (Addr t : _pendingTargets)
         w.u32(t);
-    w.u64(_deliveredInsts.value());
-    w.u64(_tibHits.value());
-    w.u64(_tibMisses.value());
-    w.u64(_offchipFetches.value());
-    w.u64(_squashedBytes.value());
+    w.count(_deliveredInsts.value());
+    w.count(_tibHits.value());
+    w.count(_tibMisses.value());
+    w.count(_offchipFetches.value());
+    w.count(_squashedBytes.value());
 }
 
 void

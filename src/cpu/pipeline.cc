@@ -201,7 +201,7 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
     }
 
     ++_cursor;
-    _retiredPcs[_retired.value() % _retiredPcs.size()] = fi.pc;
+    _retiredPcs[ringHead()] = fi.pc;
     ++_retired;
     if (_probes && _probes->retire.active())
         _probes->retire.notify(obs::RetireEvent{
@@ -524,7 +524,7 @@ void
 Pipeline::saveState(StateWriter &w) const
 {
     _regs.saveState(w);
-    _queues.saveState(w);
+    _queues.saveState(w, _memOpSeq);
     saveLatch(w, _idLatch);
     saveLatch(w, _issueLatch);
     w.b(_pendingResolve.has_value());
@@ -534,15 +534,18 @@ Pipeline::saveState(StateWriter &w) const
     }
     w.b(_halted);
     w.u64(_haltCycle);
-    w.u64(_cursor);
-    for (Addr pc : _retiredPcs)
-        w.u32(pc);
-    w.u64(_memOpSeq);
-    w.u64(_loadsAccepted);
-    w.u64(_loadsIssued);
-    w.u64(_loadsDelivered);
+    w.count(_cursor);
+    // Oldest first, so the bytes do not depend on where the ring's
+    // storage happens to start.
+    const std::size_t head = ringHead();
+    for (std::size_t i = 0; i < _retiredPcs.size(); ++i)
+        w.u32(_retiredPcs[(head + i) % _retiredPcs.size()]);
+    w.count(_memOpSeq);
+    w.seq(_loadsAccepted, _loadsIssued);
+    w.count(_loadsIssued);
+    w.seq(_loadsDelivered, _loadsIssued);
     for (const Counter *c : counters(*this))
-        w.u64(c->value());
+        w.count(c->value());
 }
 
 void
@@ -564,7 +567,8 @@ Pipeline::restoreState(StateReader &r)
     _cursor = r.u64();
     if (_trace && _cursor > _trace->records.size())
         r.fail("cursor ", _cursor, " past trace end");
-    for (Addr &pc : _retiredPcs)
+    decltype(_retiredPcs) ring;
+    for (Addr &pc : ring)
         pc = r.u32();
     _memOpSeq = r.u64();
     _loadsAccepted = r.u64();
@@ -572,6 +576,9 @@ Pipeline::restoreState(StateReader &r)
     _loadsDelivered = r.u64();
     for (Counter *c : counters(*this))
         c->set(r.u64());
+    const std::size_t head = ringHead();
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        _retiredPcs[(head + i) % ring.size()] = ring[i];
 }
 
 void

@@ -297,6 +297,13 @@ class Pipeline
     /** Ring of recently issued PCs (forensic snapshots). */
     std::array<Addr, 16> _retiredPcs{};
 
+    /** The ring slot the next issued PC overwrites: its oldest. */
+    std::size_t
+    ringHead() const
+    {
+        return _retired.value() % _retiredPcs.size();
+    }
+
     std::uint64_t _memOpSeq = 0;     //!< program order of ld/st ops
     std::uint64_t _loadsAccepted = 0; //!< loads sent to memory
     std::uint64_t _loadsIssued = 0;

@@ -48,9 +48,11 @@ class RegFile
     void saveState(StateWriter &w) const
     {
         for (Word v : _regs)
-            w.u32(v);
+            w.dataWord(v);
+        // Compared only as busyUntil > now (Pipeline::issueHazard)
+        // and max(last + 1, busyUntil) (Pipeline::sourcesFree).
         for (Cycle c : _busy)
-            w.u64(c);
+            w.stamp(c);
         for (Addr a : _branch)
             w.u32(a);
         w.u32(_bank);

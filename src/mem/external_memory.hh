@@ -102,18 +102,21 @@ class ExternalMemory
 
     void regStats(StatGroup &stats, const std::string &prefix);
 
-    /** Serialize timing state for a checkpoint. */
-    void saveState(StateWriter &w) const
+    /** Serialize timing state for a checkpoint; data requests'
+     *  dataSeqs relative to @p dataSeqBase (see saveMemRequest). */
+    void saveState(StateWriter &w, std::uint64_t dataSeqBase) const
     {
         w.b(_transferring);
         w.u32(std::uint32_t(_inflight.size()));
         for (const InFlight &f : _inflight) {
-            saveMemRequest(w, f.req);
-            w.u64(f.readyAt);
+            saveMemRequest(w, f.req, dataSeqBase);
+            // Compared only as readyAt <= now (tick, peekReady) and
+            // readyAt <= last (nextEvent).
+            w.stamp(f.readyAt);
         }
-        w.u64(_reads.value());
-        w.u64(_writes.value());
-        w.u64(_busyCycles.value());
+        w.count(_reads.value());
+        w.count(_writes.value());
+        w.count(_busyCycles.value());
     }
 
     void restoreState(StateReader &r)

@@ -106,24 +106,27 @@ class FpuDevice
 
     Cycle latency() const { return _latency; }
 
-    void saveState(StateWriter &w) const
+    /** Serialize for a checkpoint; read dataSeqs relative to
+     *  @p dataSeqBase (see saveMemRequest). */
+    void saveState(StateWriter &w, std::uint64_t dataSeqBase) const
     {
         for (Word a : _latchA)
-            w.u32(a);
+            w.dataWord(a);
         for (const auto &kind : _results) {
             w.u32(std::uint32_t(kind.size()));
             for (const Result &res : kind) {
-                w.u64(res.readyAt);
-                w.u32(res.value);
+                // Compared only as readyAt > now.
+                w.stamp(res.readyAt);
+                w.dataWord(res.value);
             }
         }
         for (const auto &kind : _reads) {
             w.u32(std::uint32_t(kind.size()));
             for (const PendingRead &pr : kind)
-                saveMemRequest(w, pr.req);
+                saveMemRequest(w, pr.req, dataSeqBase);
         }
-        w.u64(_opsStarted.value());
-        w.u64(_resultsReturned.value());
+        w.count(_opsStarted.value());
+        w.count(_resultsReturned.value());
     }
 
     void restoreState(StateReader &r)

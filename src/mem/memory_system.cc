@@ -361,14 +361,20 @@ MemorySystem::quiescent() const
 void
 MemorySystem::saveState(StateWriter &w) const
 {
+    // Data sequence numbers are saved relative to the next one the
+    // input bus may deliver, which is itself a count.
+    const std::uint64_t seqBase = _nextDataDeliverSeq;
     w.b(_transfer.has_value());
     if (_transfer) {
         const Transfer &t = *_transfer;
-        saveMemRequest(w, t.req);
-        w.u32(t.nextAddr);
+        saveMemRequest(w, t.req, seqBase);
+        if (t.req.cls == ReqClass::Data)
+            w.dataAddr(t.nextAddr);
+        else
+            w.u32(t.nextAddr);
         w.u32(t.bytesLeft);
         w.b(t.fromExtMem);
-        w.u32(t.value);
+        w.dataWord(t.value);
         w.b(t.corrupted);
     }
     w.b(_dcache.has_value());
@@ -376,22 +382,23 @@ MemorySystem::saveState(StateWriter &w) const
         _dcache->saveState(w);
     w.u32(std::uint32_t(_localResponses.size()));
     for (const LocalResponse &resp : _localResponses) {
-        saveMemRequest(w, resp.req);
-        w.u32(resp.value);
-        w.u64(resp.readyAt);
+        saveMemRequest(w, resp.req, seqBase);
+        w.dataWord(resp.value);
+        // Compared only as readyAt > now (deliverLocalResponse) and
+        // readyAt > last (nextEvent).
+        w.stamp(resp.readyAt);
     }
-    w.u64(_lastDcacheMissSeq);
-    w.u64(_nextDataDeliverSeq);
-    w.u64(_inputBusBusyCycles.value());
-    w.u64(_outputBusBusyCycles.value());
-    w.u64(_dataRequests.value());
-    w.u64(_dcacheHits.value());
-    w.u64(_dcacheMisses.value());
-    w.u64(_demandRequests.value());
-    w.u64(_prefetchRequests.value());
-    w.u64(_beatsDelivered.value());
-    _extMem.saveState(w);
-    _fpu.saveState(w);
+    // Compared only for equality with the data client's head, which
+    // the input bus has not delivered yet.
+    w.seq(_lastDcacheMissSeq, seqBase, seqBase);
+    w.count(_nextDataDeliverSeq);
+    for (const Counter *c :
+         {&_inputBusBusyCycles, &_outputBusBusyCycles, &_dataRequests,
+          &_dcacheHits, &_dcacheMisses, &_demandRequests,
+          &_prefetchRequests, &_beatsDelivered})
+        w.count(c->value());
+    _extMem.saveState(w, seqBase);
+    _fpu.saveState(w, seqBase);
 }
 
 void

@@ -65,18 +65,31 @@ struct MemRequest
     Word loadData = 0;
 };
 
-/** Serialize a request for a checkpoint. */
+/**
+ * Serialize a request for a checkpoint.  A Data-class request's
+ * address is a data address, and a load's dataSeq a sequence number
+ * relative to @p dataSeqBase; an instruction fetch's address and a
+ * store's dataSeq (never read) are exact.
+ */
 inline void
-saveMemRequest(StateWriter &w, const MemRequest &req)
+saveMemRequest(StateWriter &w, const MemRequest &req,
+               std::uint64_t dataSeqBase = 0)
 {
-    w.u32(req.addr);
+    const bool data = req.cls == ReqClass::Data;
+    if (data)
+        w.dataAddr(req.addr);
+    else
+        w.u32(req.addr);
     w.u32(req.bytes);
     w.b(req.isStore);
-    w.u32(req.storeData);
+    w.dataWord(req.storeData);
     w.u8(std::uint8_t(req.cls));
-    w.u64(req.dataSeq);
+    if (data && !req.isStore)
+        w.seq(req.dataSeq, dataSeqBase);
+    else
+        w.u64(req.dataSeq);
     w.u32(req.extraLatency);
-    w.u32(req.loadData);
+    w.dataWord(req.loadData);
 }
 
 /** Rebuild a request written by saveMemRequest(). */

@@ -17,7 +17,7 @@ void
 CpiStack::saveState(StateWriter &w) const
 {
     for (const Counter &c : _components)
-        w.u64(c.value());
+        w.count(c.value());
 }
 
 void

@@ -27,19 +27,19 @@ ArchQueues::repeatOccupancy(std::uint64_t n)
 }
 
 void
-ArchQueues::saveState(StateWriter &w) const
+ArchQueues::saveState(StateWriter &w, std::uint64_t seqBase) const
 {
     auto savePending = [&](const FixedQueue<PendingAccess> &q) {
         w.u32(std::uint32_t(q.size()));
         for (std::size_t i = 0; i < q.size(); ++i) {
-            w.u64(q.at(i).seq);
-            w.u32(q.at(i).addr);
+            w.seq(q.at(i).seq, seqBase);
+            w.dataAddr(q.at(i).addr);
         }
     };
     auto saveWords = [&](const FixedQueue<Word> &q) {
         w.u32(std::uint32_t(q.size()));
         for (std::size_t i = 0; i < q.size(); ++i)
-            w.u32(q.at(i));
+            w.dataWord(q.at(i));
     };
     savePending(_laq);
     saveWords(_ldq);

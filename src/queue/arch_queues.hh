@@ -74,9 +74,10 @@ class ArchQueues
 
     /**
      * Serialize queue contents and the occupancy histograms (open
-     * runs included) for a checkpoint.
+     * runs included) for a checkpoint, with the address queues'
+     * sequence numbers relative to @p seqBase.
      */
-    void saveState(StateWriter &w) const;
+    void saveState(StateWriter &w, std::uint64_t seqBase) const;
 
     void restoreState(StateReader &r);
 

@@ -53,8 +53,10 @@ namespace pipesim::replay
  * payload is Simulator::saveState, which adds the retired-PC ring
  * and the CPI stack's components to version 1's replay-machine state.
  * Version 3 adds the queue-occupancy histograms, open runs included.
+ * Version 4 stores the retired-PC ring oldest first instead of in
+ * storage order.
  */
-inline constexpr std::uint32_t checkpointFormatVersion = 3;
+inline constexpr std::uint32_t checkpointFormatVersion = 4;
 
 /** Checkpoint identity: the cache key plus provenance. */
 struct CheckpointMeta

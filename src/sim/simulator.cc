@@ -52,6 +52,8 @@ Simulator::build(const replay::Trace *trace, std::size_t firstRecord)
 
     _pipeline = std::make_unique<Pipeline>(_config.cpu, *_fetch, *_mem,
                                            trace, firstRecord);
+    if (trace)
+        _memo = std::make_unique<LoopMemo>(*trace);
 
     _pipeline->setProbes(&_probes);
     _fetch->setProbes(&_probes);
@@ -241,14 +243,46 @@ Simulator::runUntil(std::size_t record)
     // Skipping is exact only when no one watches single cycles and no
     // random stream is drawn per cycle.
     const bool skip = !_faultInjector && !_probes.anyActive();
-    withSnapshot(*this, [this, record, skip] {
+    // The memo also needs the trace's control flow, and a timing model
+    // that compares no data addresses: the data cache does.
+    const bool memo = skip && _memo && !_mem->hasDcache();
+    withSnapshot(*this, [this, record, skip, memo] {
         while (!done() && _pipeline->cursor() < record) {
+            const std::size_t issued = _pipeline->cursor();
             step();
             if (skip)
                 skipIdleCycles();
             checkWatchdogs();
+            if (memo && _pipeline->cursor() != issued)
+                memoize(record);
         }
     });
+}
+
+void
+Simulator::memoize(std::size_t record)
+{
+    const std::size_t cursor = _pipeline->cursor();
+    if (!_memo->boundary(cursor))
+        return;
+    StateWriter w(_now, &FpuDevice::contains);
+    saveState(w);
+    LoopMemo::Boundary b;
+    b.cursor = cursor;
+    b.now = _now;
+    b.key = w.key();
+    b.fields = w.fields();
+    b.payload = w.take();
+    // The clock watchdogs are monotone, and every skipped period
+    // repeats the retire gaps of the two observed ones, which did not
+    // trip the progress window: landing at or before maxCycles aborts
+    // where ticking would.
+    const auto next = _memo->offer(std::move(b), record, _config.maxCycles);
+    if (!next)
+        return;
+    StateReader r(*next, "loop memo");
+    restoreState(r);
+    r.expectEnd();
 }
 
 MachineSnapshot
@@ -275,9 +309,10 @@ Simulator::saveState(StateWriter &w) const
     if (_faultInjector)
         fatal("cannot checkpoint a fault-injected machine: the "
               "injector's random stream is not part of the state");
-    w.u64(_now);
-    w.u64(_lastProgressCycle);
-    w.u64(_lastRetired);
+    w.stamp(_now);
+    // Compared only as now - lastProgressCycle > progressWindow.
+    w.stamp(_lastProgressCycle);
+    w.count(_lastRetired);
     _pipeline->saveState(w);
     _fetch->saveState(w);
     _mem->saveState(w);

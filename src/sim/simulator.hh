@@ -19,6 +19,11 @@
  * next event and jumps straight to it, adding the repeated counts in
  * bulk, so results are identical to ticking every cycle
  * (docs/internals.md, "Idle skip").
+ *
+ * Loop memo: a machine with a trace value source also jumps over
+ * whole loop iterations that repeat the previous ones, by restoring a
+ * checkpoint extrapolated from the last two (sim/loop_memo.hh;
+ * docs/internals.md, "Loop memo").
  */
 
 #ifndef PIPESIM_SIM_SIMULATOR_HH
@@ -40,6 +45,7 @@
 #include "obs/cpi_stack.hh"
 #include "obs/probe.hh"
 #include "sim/config.hh"
+#include "sim/loop_memo.hh"
 
 namespace pipesim
 {
@@ -100,7 +106,9 @@ class Simulator
      * zero host-profiling cost: the replay engine attributes its own
      * phases, and pooled windows must not touch the profiler from
      * worker threads.  It skips idle cycles unless a fault injector
-     * is present or a probe listener is attached.
+     * is present or a probe listener is attached; on those terms, a
+     * machine with a trace value source and no data cache also skips
+     * repeating loop iterations.
      * @throws SimAbort carrying a machine snapshot.
      */
     void runUntil(std::size_t record);
@@ -110,8 +118,9 @@ class Simulator
 
     /**
      * Cycles this object ticked (a host-side work counter, not a
-     * SimResult counter): now() minus the cycles the idle skip jumped
-     * over, for a machine that was not restored from a checkpoint.
+     * SimResult counter): now() minus the cycles the idle skip and
+     * the loop memo jumped over, for a machine that was not restored
+     * from a checkpoint.
      */
     std::uint64_t ticksExecuted() const { return _ticksExecuted; }
 
@@ -187,6 +196,13 @@ class Simulator
      */
     void skipIdleCycles();
 
+    /**
+     * After a step that issued a record: at a loop boundary, offer the
+     * memo a keyed checkpoint and restore the state it extrapolates
+     * (landing at or before record @p record), if any.
+     */
+    void memoize(std::size_t record);
+
     SimConfig _config;
     const Program &_program;
     std::unique_ptr<DataMemory> _ownedDataMem;
@@ -197,6 +213,7 @@ class Simulator
     std::unique_ptr<Pipeline> _pipeline;
     std::unique_ptr<obs::CpiStack> _cpiStack;
     std::unique_ptr<fault::FaultInjector> _faultInjector;
+    std::unique_ptr<LoopMemo> _memo; //!< under a trace value source
     StatGroup _stats;
 
     Cycle _now = 0;
