@@ -47,9 +47,11 @@ smallBench()
 /**
  * Simulate @p fetch over the small benchmark once per iteration at
  * the access time in range(0), with no accounting and no listener.
- * Besides the rate it reports ticks_per_sim_cycle, the share of
- * cycles the loop ticked rather than skipped as idle: a work counter
- * that does not move with host noise.
+ * Besides the rate it reports work counters that do not move with
+ * host noise: ticks_per_sim_cycle, the share of cycles the loop
+ * ticked rather than skipped as idle, and fetch_ticks_per_sim_cycle
+ * and mem_ticks_per_sim_cycle, the shares on which the fetch unit's
+ * and the memory system's ticks ran rather than being gated.
  */
 void
 simulateRaw(benchmark::State &state, const FetchConfig &fetch)
@@ -59,17 +61,24 @@ simulateRaw(benchmark::State &state, const FetchConfig &fetch)
     cfg.mem.accessTime = unsigned(state.range(0));
     cfg.cpiStack = false; // raw rate: no accounting, no listener
     cfg.fault = g_flags.fault;
-    std::uint64_t cycles = 0, ticks = 0, clock = 0;
+    std::uint64_t cycles = 0, ticks = 0, fetchTicks = 0, memTicks = 0;
+    std::uint64_t clock = 0;
     for (auto _ : state) {
         Simulator sim(cfg, smallBench().program);
         const auto res = sim.run();
         cycles += res.totalCycles;
         ticks += sim.ticksExecuted();
+        fetchTicks += sim.fetchTicksExecuted();
+        memTicks += sim.memTicksExecuted();
         clock += sim.now();
     }
     state.counters["sim_cycles_per_s"] = benchmark::Counter(
         double(cycles), benchmark::Counter::kIsRate);
     state.counters["ticks_per_sim_cycle"] = double(ticks) / double(clock);
+    state.counters["fetch_ticks_per_sim_cycle"] =
+        double(fetchTicks) / double(clock);
+    state.counters["mem_ticks_per_sim_cycle"] =
+        double(memTicks) / double(clock);
 }
 
 void

@@ -43,9 +43,8 @@ ConventionalFetchUnit::ConventionalFetchUnit(const FetchConfig &config,
 }
 
 void
-ConventionalFetchUnit::reset(Addr entry)
+ConventionalFetchUnit::resetUnit(Addr entry)
 {
-    _want.reset();
     _outstanding = false;
     _prefetchAddr.reset();
     _missRecordedFor.reset();
@@ -121,7 +120,7 @@ ConventionalFetchUnit::fillBeat(const MemRequest &, Addr addr,
 void
 ConventionalFetchUnit::tick(Cycle now)
 {
-    _obsNow = now;
+    beginTick(now);
     _idle = true;
 
     // Always-prefetch: the reference made last cycle launches a
@@ -129,11 +128,11 @@ ConventionalFetchUnit::tick(Cycle now)
     // the memory interface), before the PC re-checks the cache --
     // this is how Hill's model gets ahead of the instruction stream.
     if (_cfg.alwaysPrefetch && _prefetchAddr && !_outstanding &&
-        !_want) {
+        !request()) {
         const Addr p = *_prefetchAddr;
         const Addr region = Addr(alignDown(p, _busRegionBytes));
         if (firstMissing(region, _busRegionBytes)) {
-            _want = makeRequest(p, ReqClass::IPrefetch);
+            post(makeRequest(p, ReqClass::IPrefetch));
             ++_prefetchFetches;
         }
         _prefetchAddr.reset();
@@ -162,22 +161,22 @@ ConventionalFetchUnit::tick(Cycle now)
     }
     if (inflightCovers(*missing))
         return; // the in-flight request will satisfy it
-    if (!_outstanding && !_want) {
-        _want = makeRequest(*missing, ReqClass::IFetchDemand);
+    const MemRequest *want = request();
+    if (!_outstanding && !want) {
+        post(makeRequest(*missing, ReqClass::IFetchDemand));
         ++_demandFetches;
         _idle = false;
-    } else if (_want && _want->cls == ReqClass::IPrefetch) {
+    } else if (want && want->cls == ReqClass::IPrefetch) {
         const bool covers =
-            *missing >= _want->addr &&
-            *missing < _want->addr + _want->bytes;
+            *missing >= want->addr && *missing < want->addr + want->bytes;
         if (covers) {
             // The PC now waits on this request, so it is presented
             // to the memory interface as an instruction fetch.
-            _want->cls = ReqClass::IFetchDemand;
+            promoteToDemand();
         } else {
             // Not sent yet and useless for the demand miss: the
             // instruction fetch replaces the queued prefetch.
-            _want = makeRequest(*missing, ReqClass::IFetchDemand);
+            post(makeRequest(*missing, ReqClass::IFetchDemand));
         }
         ++_demandFetches;
         _idle = false;
@@ -196,9 +195,8 @@ ConventionalFetchUnit::instructionReady() const
 }
 
 isa::FetchedInst
-ConventionalFetchUnit::take()
+ConventionalFetchUnit::takeNext()
 {
-    PIPESIM_ASSERT(instructionReady(), "take() with nothing ready");
     const Addr pc = *_follower.nextAddr();
     const isa::Instruction &inst = decodeAt(pc);
     _cache.recordLookup(true);
@@ -214,30 +212,17 @@ ConventionalFetchUnit::take()
 }
 
 void
-ConventionalFetchUnit::branchResolved(bool taken, Addr target)
+ConventionalFetchUnit::resolveBranch(bool taken, Addr target)
 {
     _follower.resolved(taken, target);
 }
 
-const MemRequest *
-ConventionalFetchUnit::peekOffchip(ReqClass cls)
-{
-    return _want && _want->cls == cls ? &*_want : nullptr;
-}
-
 void
-ConventionalFetchUnit::offchipAccepted()
+ConventionalFetchUnit::offchipAccepted(const MemRequest &req)
 {
-    PIPESIM_ASSERT(_want, "acceptance with no request outstanding");
-    if (_probes && _probes->fetchRequest.active()) {
-        _probes->fetchRequest.notify(obs::FetchEvent{
-            _obsNow, _want->addr, _want->bytes,
-            _want->cls == ReqClass::IFetchDemand});
-    }
     _outstanding = true;
-    _outstandingAddr = _want->addr;
-    _outstandingBytes = _want->bytes;
-    _want.reset();
+    _outstandingAddr = req.addr;
+    _outstandingBytes = req.bytes;
 }
 
 void
@@ -254,10 +239,10 @@ ConventionalFetchUnit::dumpState(std::ostream &os) const
         os << "  outstanding fetch: 0x" << std::hex << _outstandingAddr
            << std::dec << " (" << _outstandingBytes << " B)\n";
     }
-    if (_want) {
-        os << "  queued request: 0x" << std::hex << _want->addr
-           << std::dec << " (" << _want->bytes << " B, "
-           << reqClassName(_want->cls) << ")\n";
+    if (const MemRequest *req = request()) {
+        os << "  queued request: 0x" << std::hex << req->addr
+           << std::dec << " (" << req->bytes << " B, "
+           << reqClassName(req->cls) << ")\n";
     }
     if (_prefetchAddr)
         os << "  pending prefetch target: 0x" << std::hex
@@ -273,9 +258,7 @@ ConventionalFetchUnit::saveState(StateWriter &w) const
     saveBaseState(w);
     _follower.saveState(w);
     _cache.saveState(w);
-    w.b(_want.has_value());
-    if (_want)
-        saveMemRequest(w, *_want);
+    saveRequest(w);
     w.b(_outstanding);
     w.u32(_outstandingAddr);
     w.u32(_outstandingBytes);
@@ -291,14 +274,12 @@ ConventionalFetchUnit::saveState(StateWriter &w) const
 }
 
 void
-ConventionalFetchUnit::restoreState(StateReader &r)
+ConventionalFetchUnit::restoreUnit(StateReader &r)
 {
     restoreBaseState(r);
     _follower.restoreState(r);
     _cache.restoreState(r);
-    _want.reset();
-    if (r.b())
-        _want = restoreMemRequest(r);
+    restoreRequest(r);
     _outstanding = r.b();
     _outstandingAddr = r.u32();
     _outstandingBytes = r.u32();

@@ -42,21 +42,20 @@ class ConventionalFetchUnit : public FetchUnit
     ConventionalFetchUnit(const FetchConfig &config, const Program &program,
                           MemorySystem &mem);
 
-    void reset(Addr entry) override;
     void tick(Cycle now) override;
     bool instructionReady() const override;
-    isa::FetchedInst take() override;
-    void branchResolved(bool taken, Addr target) override;
     void regStats(StatGroup &stats, const std::string &prefix) override;
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
-    void restoreState(StateReader &r) override;
 
     const SubblockCache &cache() const { return _cache; }
 
   protected:
-    const MemRequest *peekOffchip(ReqClass cls) override;
-    void offchipAccepted() override;
+    void resetUnit(Addr entry) override;
+    isa::FetchedInst takeNext() override;
+    void resolveBranch(bool taken, Addr target) override;
+    void restoreUnit(StateReader &r) override;
+    void offchipAccepted(const MemRequest &req) override;
     void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
     void fillComplete(const MemRequest &req) override;
     void fillParityError(const MemRequest &req) override;
@@ -75,7 +74,6 @@ class ConventionalFetchUnit : public FetchUnit
     SubblockCache _cache;
     StreamFollower _follower;
 
-    std::optional<MemRequest> _want;
     bool _outstanding = false;
     Addr _outstandingAddr = 0;
     unsigned _outstandingBytes = 0;

@@ -12,18 +12,14 @@ FetchUnit::FetchUnit(const Program &program, MemorySystem &mem)
     : _program(program),
       _decoded(program.codeSize() / parcelBytes,
                isa::Instruction{.parcels = 0}),
-      _pastEnd(isa::decode(0, 0, program.mode())), _mem(mem),
-      _demandPort(*this, ReqClass::IFetchDemand),
-      _prefetchPort(*this, ReqClass::IPrefetch)
+      _pastEnd(isa::decode(0, 0, program.mode())), _mem(mem)
 {
-    _mem.setDemandClient(&_demandPort);
-    _mem.setPrefetchClient(&_prefetchPort);
+    _mem.setInstructionClient(this);
 }
 
 FetchUnit::~FetchUnit()
 {
-    _mem.setDemandClient(nullptr);
-    _mem.setPrefetchClient(nullptr);
+    _mem.setInstructionClient(nullptr);
 }
 
 void

@@ -5,15 +5,20 @@
  *
  * Per cycle the simulator calls tick() (internal machinery: cache
  * lookups, buffer management, off-chip request generation) and the
- * pipeline consumes at most one instruction via instructionReady() /
- * take().  The pipeline pushes branch resolutions back with
- * branchResolved().
+ * pipeline consumes at most one instruction via tryTake().  The
+ * pipeline pushes branch resolutions back with branchResolved().
+ *
+ * The unit is the memory system's instruction client: it posts at
+ * most one off-chip request at a time in its slot (MemClient), whose
+ * class picks demand or prefetch priority, and the fills of both
+ * classes return to it.
  */
 
 #ifndef PIPESIM_CORE_FETCH_UNIT_HH
 #define PIPESIM_CORE_FETCH_UNIT_HH
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,35 +86,59 @@ struct FetchConfig
     unsigned parityRetryLimit = 4;
 };
 
-class FetchUnit
+class FetchUnit : public MemClient
 {
   public:
     /**
      * @param program Program image instructions are decoded from.
-     * @param mem     Memory system; the unit registers its demand
-     *                and prefetch request clients with it.
+     * @param mem     Memory system; the unit registers itself as its
+     *                instruction client.
      */
     FetchUnit(const Program &program, MemorySystem &mem);
-    virtual ~FetchUnit();
+    ~FetchUnit() override;
 
     FetchUnit(const FetchUnit &) = delete;
     FetchUnit &operator=(const FetchUnit &) = delete;
 
     /** Restart fetching at @p entry with cold buffers and cache. */
-    virtual void reset(Addr entry) = 0;
+    void
+    reset(Addr entry)
+    {
+        _touched = true;
+        withdraw();
+        resetUnit(entry);
+    }
 
-    /** Advance internal machinery one cycle. */
+    /** Advance internal machinery one cycle (starts with beginTick). */
     virtual void tick(Cycle now) = 0;
 
     /**
-     * The idle skip (see Simulator): @p last + 1 if tick(@p last)
-     * changed anything, else neverCycle, since no strategy compares
-     * the clock: an idle tick repeats until the pipeline or the
+     * Tick gating (see Simulator): tick(@p now), unless the last tick
+     * was idle and nothing called into the unit since.  No strategy
+     * compares the clock or reads memory-system state, so that tick
+     * would repeat the idle one; only the probe clock advances.
+     * @return true if the tick ran.
+     */
+    bool
+    tickGated(Cycle now)
+    {
+        if (_idle && !_touched) {
+            _obsNow = now;
+            return false;
+        }
+        tick(now);
+        return true;
+    }
+
+    /**
+     * The idle skip (see Simulator): @p last + 1 unless the last tick
+     * was idle and nothing called into the unit since, else
+     * neverCycle: an idle tick repeats until the pipeline or the
      * memory system changes the unit's state.
      */
     Cycle nextEvent(Cycle last) const
     {
-        return _idle ? neverCycle : last + 1;
+        return _idle && !_touched ? neverCycle : last + 1;
     }
 
     /** Account @p n skipped repeats of an idle tick. */
@@ -118,14 +147,35 @@ class FetchUnit
     /** @return true if an instruction can be consumed this cycle. */
     virtual bool instructionReady() const = 0;
 
+    /** Consume the next instruction, if one is ready. */
+    std::optional<isa::FetchedInst>
+    tryTake()
+    {
+        if (!instructionReady())
+            return std::nullopt;
+        _touched = true;
+        return takeNext();
+    }
+
     /** Consume the next instruction (instructionReady() holds). */
-    virtual isa::FetchedInst take() = 0;
+    isa::FetchedInst
+    take()
+    {
+        PIPESIM_ASSERT(instructionReady(), "take() with nothing ready");
+        _touched = true;
+        return takeNext();
+    }
 
     /**
      * A PBR resolved in the pipeline (applies to the oldest
      * unresolved PBR, in program order).
      */
-    virtual void branchResolved(bool taken, Addr target) = 0;
+    void
+    branchResolved(bool taken, Addr target)
+    {
+        _touched = true;
+        resolveBranch(taken, target);
+    }
 
     /** Register statistics under @p prefix. */
     virtual void regStats(StatGroup &stats, const std::string &prefix) = 0;
@@ -140,7 +190,12 @@ class FetchUnit
      * Restore state saved by saveState() on a unit built from the
      * same FetchConfig and Program.
      */
-    virtual void restoreState(StateReader &r) = 0;
+    void
+    restoreState(StateReader &r)
+    {
+        _touched = true;
+        restoreUnit(r);
+    }
 
     /**
      * Attach the probe bus the unit emits into: icacheAccess on every
@@ -150,58 +205,60 @@ class FetchUnit
      */
     void setProbes(obs::ProbeBus *probes) { _probes = probes; }
 
-  protected:
-    /**
-     * MemClient adapter: routes the memory system's pull requests of
-     * one class to the owning unit, and that class's responses back.
-     * The unit owns both instruction ports, so fills of either class
-     * return to it.
-     */
-    class ClientPort : public MemClient
+    // The memory system's callbacks (MemClient): each one raises the
+    // touched flag and forwards to the strategy.
+
+    /** The posted request won the output bus: it is in flight now. */
+    void
+    accepted() final
     {
-      public:
-        ClientPort(FetchUnit &unit, ReqClass cls)
-            : _unit(unit), _cls(cls)
-        {
+        _touched = true;
+        const MemRequest &req = *request();
+        if (_probes && _probes->fetchRequest.active()) {
+            _probes->fetchRequest.notify(obs::FetchEvent{
+                _obsNow, req.addr, req.bytes,
+                req.cls == ReqClass::IFetchDemand});
         }
+        offchipAccepted(req);
+        withdraw();
+    }
 
-        const MemRequest *
-        peek() override
-        {
-            return _unit.peekOffchip(_cls);
-        }
+    void
+    beat(const MemRequest &req, Addr addr, unsigned bytes) final
+    {
+        _touched = true;
+        fillBeat(req, addr, bytes);
+    }
 
-        void accepted() override { _unit.offchipAccepted(); }
+    void
+    complete(const MemRequest &req) final
+    {
+        _touched = true;
+        fillComplete(req);
+    }
 
-        void
-        beat(const MemRequest &req, Addr addr, unsigned bytes) override
-        {
-            _unit.fillBeat(req, addr, bytes);
-        }
+    void
+    parityError(const MemRequest &req) final
+    {
+        _touched = true;
+        fillParityError(req);
+    }
 
-        void
-        complete(const MemRequest &req) override
-        {
-            _unit.fillComplete(req);
-        }
+  protected:
+    /** reset() after the base has withdrawn the posted request. */
+    virtual void resetUnit(Addr entry) = 0;
 
-        void
-        parityError(const MemRequest &req) override
-        {
-            _unit.fillParityError(req);
-        }
+    /** take(): the next instruction (instructionReady() holds). */
+    virtual isa::FetchedInst takeNext() = 0;
 
-      private:
-        FetchUnit &_unit;
-        ReqClass _cls;
-    };
+    /** branchResolved(). */
+    virtual void resolveBranch(bool taken, Addr target) = 0;
 
-    /** The unit's candidate off-chip request of class @p cls, or
-     *  nullptr (points into the unit; see MemClient::peek). */
-    virtual const MemRequest *peekOffchip(ReqClass cls) = 0;
+    /** restoreState(). */
+    virtual void restoreUnit(StateReader &r) = 0;
 
-    /** The candidate request was accepted on the output bus. */
-    virtual void offchipAccepted() = 0;
+    /** The posted request @p req was accepted on the output bus. */
+    virtual void offchipAccepted(const MemRequest &req) = 0;
 
     /** One input-bus beat of the in-flight fill @p req. */
     virtual void fillBeat(const MemRequest &req, Addr addr,
@@ -256,6 +313,41 @@ class FetchUnit
     /** Register the shared parity-retry counter under @p prefix. */
     void regParityStats(StatGroup &stats, const std::string &prefix);
 
+    /** Every tick() starts here. */
+    void
+    beginTick(Cycle now)
+    {
+        _obsNow = now;
+        _touched = false;
+    }
+
+    /** The posted prefetch becomes a demand fetch. */
+    void
+    promoteToDemand()
+    {
+        MemRequest req = *request();
+        req.cls = ReqClass::IFetchDemand;
+        post(req);
+    }
+
+    /** Serialize the posted request (at the strategy's place). */
+    void
+    saveRequest(StateWriter &w) const
+    {
+        w.b(request() != nullptr);
+        if (request())
+            saveMemRequest(w, *request());
+    }
+
+    void
+    restoreRequest(StateReader &r)
+    {
+        if (r.b())
+            post(restoreMemRequest(r));
+        else
+            withdraw();
+    }
+
     /** Serialize the base-class state shared by every strategy. */
     void saveBaseState(StateWriter &w) const
     {
@@ -294,8 +386,6 @@ class FetchUnit
     isa::Instruction _pastEnd;
 
     MemorySystem &_mem;
-    ClientPort _demandPort;
-    ClientPort _prefetchPort;
     obs::ProbeBus *_probes = nullptr;
     /** See FetchConfig::parityRetryLimit (subclasses copy it here). */
     unsigned _parityRetryLimit = 4;
@@ -314,6 +404,12 @@ class FetchUnit
      * sets it.
      */
     bool _idle = false;
+
+    /**
+     * Something called into the unit since its last tick: take,
+     * branchResolved, a memory callback, reset or restoreState.
+     */
+    bool _touched = true;
 };
 
 } // namespace pipesim

@@ -24,12 +24,11 @@ PipeFetchUnit::PipeFetchUnit(const FetchConfig &config,
 }
 
 void
-PipeFetchUnit::reset(Addr entry)
+PipeFetchUnit::resetUnit(Addr entry)
 {
     _buffer.clear();
     _occupancy = 0;
     _fill.reset();
-    _want.reset();
     _offchipInFlight = false;
     _squashDoneId = std::uint64_t(-1);
     _follower.reset(entry);
@@ -92,7 +91,7 @@ PipeFetchUnit::truncateBufferAt(Addr r)
 }
 
 void
-PipeFetchUnit::branchResolved(bool taken, Addr target)
+PipeFetchUnit::resolveBranch(bool taken, Addr target)
 {
     // Squash bookkeeping must run before the follower applies a
     // zero-delay-slot redirect.  Squashing is only possible when the
@@ -282,7 +281,7 @@ PipeFetchUnit::startFillIfNeeded()
         ++_offchipDemandLines;
     else
         ++_offchipPrefetchLines;
-    _want = req;
+    post(req);
     return true;
 }
 
@@ -354,36 +353,23 @@ PipeFetchUnit::fillComplete(const MemRequest &)
     noteGoodFill();
 }
 
-const MemRequest *
-PipeFetchUnit::peekOffchip(ReqClass cls)
-{
-    return _want && _want->cls == cls ? &*_want : nullptr;
-}
-
 void
-PipeFetchUnit::offchipAccepted()
+PipeFetchUnit::offchipAccepted(const MemRequest &)
 {
-    PIPESIM_ASSERT(_want, "acceptance with no request outstanding");
-    if (_probes && _probes->fetchRequest.active()) {
-        _probes->fetchRequest.notify(obs::FetchEvent{
-            _obsNow, _want->addr, _want->bytes,
-            _want->cls == ReqClass::IFetchDemand});
-    }
     _offchipInFlight = true;
-    _want.reset();
 }
 
 void
 PipeFetchUnit::tick(Cycle now)
 {
-    _obsNow = now;
+    beginTick(now);
     bool active = handleResolvedRedirect();
 
     // A prefetch-class request whose line the decoder now starves
     // for is promoted to demand priority.
-    if (_want && _want->cls == ReqClass::IPrefetch &&
+    if (request() && request()->cls == ReqClass::IPrefetch &&
         (decoderStarving() || _buffer.empty())) {
-        _want->cls = ReqClass::IFetchDemand;
+        promoteToDemand();
         active = true;
     }
 
@@ -404,9 +390,8 @@ PipeFetchUnit::instructionReady() const
 }
 
 isa::FetchedInst
-PipeFetchUnit::take()
+PipeFetchUnit::takeNext()
 {
-    PIPESIM_ASSERT(instructionReady(), "take() with nothing ready");
     const Addr pc = *_follower.nextAddr();
     const isa::Instruction &inst = decodeAt(pc);
     Segment &head = _buffer.front();
@@ -440,10 +425,10 @@ PipeFetchUnit::dumpState(std::ostream &os) const
            << (_fill->offchip ? ", off-chip" : ", from cache")
            << (_fill->dead ? ", squashed" : "") << "\n";
     }
-    if (_want) {
-        os << "  queued request: 0x" << std::hex << _want->addr
-           << std::dec << " (" << _want->bytes << " B, "
-           << reqClassName(_want->cls) << ")\n";
+    if (const MemRequest *req = request()) {
+        os << "  queued request: 0x" << std::hex << req->addr
+           << std::dec << " (" << req->bytes << " B, "
+           << reqClassName(req->cls) << ")\n";
     }
     os << "  off-chip in flight: " << (_offchipInFlight ? "yes" : "no")
        << ", consecutive parity errors: " << _consecutiveParityErrors
@@ -472,9 +457,7 @@ PipeFetchUnit::saveState(StateWriter &w) const
         w.b(_fill->newSegment);
         w.b(_fill->dead);
     }
-    w.b(_want.has_value());
-    if (_want)
-        saveMemRequest(w, *_want);
+    saveRequest(w);
     w.b(_offchipInFlight);
     _follower.saveId(w, _squashDoneId);
     _follower.saveId(w, _targetPlannedId);
@@ -486,7 +469,7 @@ PipeFetchUnit::saveState(StateWriter &w) const
 }
 
 void
-PipeFetchUnit::restoreState(StateReader &r)
+PipeFetchUnit::restoreUnit(StateReader &r)
 {
     restoreBaseState(r);
     _follower.restoreState(r);
@@ -514,9 +497,7 @@ PipeFetchUnit::restoreState(StateReader &r)
         f.dead = r.b();
         _fill = f;
     }
-    _want.reset();
-    if (r.b())
-        _want = restoreMemRequest(r);
+    restoreRequest(r);
     _offchipInFlight = r.b();
     _squashDoneId = r.u64();
     _targetPlannedId = r.u64();

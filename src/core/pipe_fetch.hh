@@ -51,15 +51,11 @@ class PipeFetchUnit : public FetchUnit
     PipeFetchUnit(const FetchConfig &config, const Program &program,
                   MemorySystem &mem);
 
-    void reset(Addr entry) override;
     void tick(Cycle now) override;
     bool instructionReady() const override;
-    isa::FetchedInst take() override;
-    void branchResolved(bool taken, Addr target) override;
     void regStats(StatGroup &stats, const std::string &prefix) override;
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
-    void restoreState(StateReader &r) override;
 
     const InstructionCache &cache() const { return _cache; }
 
@@ -67,8 +63,11 @@ class PipeFetchUnit : public FetchUnit
     unsigned bufferedBytes() const { return _occupancy; }
 
   protected:
-    const MemRequest *peekOffchip(ReqClass cls) override;
-    void offchipAccepted() override;
+    void resetUnit(Addr entry) override;
+    isa::FetchedInst takeNext() override;
+    void resolveBranch(bool taken, Addr target) override;
+    void restoreUnit(StateReader &r) override;
+    void offchipAccepted(const MemRequest &req) override;
     void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
     void fillComplete(const MemRequest &req) override;
     void fillParityError(const MemRequest &req) override;
@@ -131,7 +130,6 @@ class PipeFetchUnit : public FetchUnit
     unsigned _capacity;
 
     std::optional<Fill> _fill;
-    std::optional<MemRequest> _want;
     bool _offchipInFlight = false;
 
     /** Redirect ids whose squash/retarget handling already ran. */

@@ -27,12 +27,11 @@ TibFetchUnit::TibFetchUnit(const FetchConfig &config,
 }
 
 void
-TibFetchUnit::reset(Addr entry)
+TibFetchUnit::resetUnit(Addr entry)
 {
     _buffer.clear();
     _occupancy = 0;
     _fetch.reset();
-    _want.reset();
     _offchipInFlight = false;
     _squashDoneId = std::uint64_t(-1);
     _targetPlannedId = std::uint64_t(-1);
@@ -100,7 +99,7 @@ TibFetchUnit::truncateBufferAt(Addr r)
 }
 
 void
-TibFetchUnit::branchResolved(bool taken, Addr target)
+TibFetchUnit::resolveBranch(bool taken, Addr target)
 {
     if (_follower.hasPending() && !_follower.frontResolved()) {
         _squashDoneId = _follower.frontId();
@@ -225,7 +224,7 @@ TibFetchUnit::startFetchIfNeeded()
     req.isStore = false;
     const bool demand = decoderStarving() || _buffer.empty();
     req.cls = demand ? ReqClass::IFetchDemand : ReqClass::IPrefetch;
-    _want = req;
+    post(req);
     ++_offchipFetches;
     return true;
 }
@@ -287,33 +286,20 @@ TibFetchUnit::fillBeat(const MemRequest &, Addr addr, unsigned bytes)
     _fetch->nextByte = hi;
 }
 
-const MemRequest *
-TibFetchUnit::peekOffchip(ReqClass cls)
-{
-    return _want && _want->cls == cls ? &*_want : nullptr;
-}
-
 void
-TibFetchUnit::offchipAccepted()
+TibFetchUnit::offchipAccepted(const MemRequest &)
 {
-    PIPESIM_ASSERT(_want, "acceptance with no request outstanding");
-    if (_probes && _probes->fetchRequest.active()) {
-        _probes->fetchRequest.notify(obs::FetchEvent{
-            _obsNow, _want->addr, _want->bytes,
-            _want->cls == ReqClass::IFetchDemand});
-    }
     _offchipInFlight = true;
-    _want.reset();
 }
 
 void
 TibFetchUnit::tick(Cycle now)
 {
-    _obsNow = now;
+    beginTick(now);
     bool active = handleResolvedRedirect();
-    if (_want && _want->cls == ReqClass::IPrefetch &&
+    if (request() && request()->cls == ReqClass::IPrefetch &&
         (decoderStarving() || _buffer.empty())) {
-        _want->cls = ReqClass::IFetchDemand;
+        promoteToDemand();
         active = true;
     }
     active |= startFetchIfNeeded();
@@ -335,9 +321,8 @@ TibFetchUnit::instructionReady() const
 }
 
 isa::FetchedInst
-TibFetchUnit::take()
+TibFetchUnit::takeNext()
 {
-    PIPESIM_ASSERT(instructionReady(), "take() with nothing ready");
     const Addr pc = *_follower.nextAddr();
     const isa::Instruction &inst = decodeAt(pc);
     Segment &head = _buffer.front();
@@ -372,10 +357,10 @@ TibFetchUnit::dumpState(std::ostream &os) const
            << (_fetch->fillTibTarget ? ", filling TIB entry" : "")
            << "\n";
     }
-    if (_want) {
-        os << "  queued request: 0x" << std::hex << _want->addr
-           << std::dec << " (" << _want->bytes << " B, "
-           << reqClassName(_want->cls) << ")\n";
+    if (const MemRequest *req = request()) {
+        os << "  queued request: 0x" << std::hex << req->addr
+           << std::dec << " (" << req->bytes << " B, "
+           << reqClassName(req->cls) << ")\n";
     }
     os << "  pending branch targets: " << _pendingTargets.size()
        << ", off-chip in flight: " << (_offchipInFlight ? "yes" : "no")
@@ -411,9 +396,7 @@ TibFetchUnit::saveState(StateWriter &w) const
             w.u32(*_fetch->fillTibTarget);
         w.b(_fetch->retargeted);
     }
-    w.b(_want.has_value());
-    if (_want)
-        saveMemRequest(w, *_want);
+    saveRequest(w);
     w.b(_offchipInFlight);
     _follower.saveId(w, _squashDoneId);
     _follower.saveId(w, _targetPlannedId);
@@ -428,7 +411,7 @@ TibFetchUnit::saveState(StateWriter &w) const
 }
 
 void
-TibFetchUnit::restoreState(StateReader &r)
+TibFetchUnit::restoreUnit(StateReader &r)
 {
     restoreBaseState(r);
     _follower.restoreState(r);
@@ -459,9 +442,7 @@ TibFetchUnit::restoreState(StateReader &r)
         f.retargeted = r.b();
         _fetch = f;
     }
-    _want.reset();
-    if (r.b())
-        _want = restoreMemRequest(r);
+    restoreRequest(r);
     _offchipInFlight = r.b();
     _squashDoneId = r.u64();
     _targetPlannedId = r.u64();

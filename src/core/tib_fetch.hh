@@ -50,22 +50,21 @@ class TibFetchUnit : public FetchUnit
     TibFetchUnit(const FetchConfig &config, const Program &program,
                  MemorySystem &mem);
 
-    void reset(Addr entry) override;
     void tick(Cycle now) override;
     bool instructionReady() const override;
-    isa::FetchedInst take() override;
-    void branchResolved(bool taken, Addr target) override;
     void regStats(StatGroup &stats, const std::string &prefix) override;
     void dumpState(std::ostream &os) const override;
     void saveState(StateWriter &w) const override;
-    void restoreState(StateReader &r) override;
 
     unsigned numEntries() const { return unsigned(_entries.size()); }
     unsigned entryBytes() const { return _entryBytes; }
 
   protected:
-    const MemRequest *peekOffchip(ReqClass cls) override;
-    void offchipAccepted() override;
+    void resetUnit(Addr entry) override;
+    isa::FetchedInst takeNext() override;
+    void resolveBranch(bool taken, Addr target) override;
+    void restoreUnit(StateReader &r) override;
+    void offchipAccepted(const MemRequest &req) override;
     void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
     void fillComplete(const MemRequest &req) override;
     void fillParityError(const MemRequest &req) override;
@@ -118,7 +117,6 @@ class TibFetchUnit : public FetchUnit
         bool retargeted = false;
     };
     std::optional<Fetch> _fetch;
-    std::optional<MemRequest> _want;
     bool _offchipInFlight = false;
 
     std::uint64_t _squashDoneId = std::uint64_t(-1);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/abort.hh"
 #include "common/log.hh"
 #include "isa/opcodes.hh"
 #include "replay/trace_format.hh"
@@ -23,8 +24,6 @@ Pipeline::Pipeline(const PipelineConfig &config, FetchUnit &fetch,
       _cursor(firstRecord)
 {
     _mem.setDataClient(&_dataPort);
-    _loadReq.bytes = _storeReq.bytes = wordBytes;
-    _storeReq.isStore = true;
 }
 
 Pipeline::~Pipeline()
@@ -49,22 +48,26 @@ Pipeline::loadIsNext() const
     return laq.front().seq < saq.front().seq;
 }
 
-const MemRequest *
-Pipeline::DataPort::peek()
+void
+Pipeline::DataPort::refresh()
 {
-    ArchQueues &q = _owner._queues;
+    const ArchQueues &q = _owner._queues;
+    MemRequest req;
+    req.bytes = wordBytes;
     if (_owner.loadIsNext()) {
-        _owner._loadReq.addr = q.laq().front().addr;
-        _owner._loadReq.dataSeq = _owner._loadsAccepted;
-        return &_owner._loadReq;
+        req.addr = q.laq().front().addr;
+        req.dataSeq = _owner._loadsAccepted;
+    } else if (!q.saq().empty() && !q.sdq().empty()) {
+        // A store needs its data; program order blocks behind it
+        // until the SDQ entry is produced.
+        req.addr = q.saq().front().addr;
+        req.isStore = true;
+        req.storeData = q.sdq().front();
+    } else {
+        withdraw();
+        return;
     }
-    // A store needs its data; program order blocks behind it until
-    // the SDQ entry is produced.
-    if (q.saq().empty() || q.sdq().empty())
-        return nullptr;
-    _owner._storeReq.addr = q.saq().front().addr;
-    _owner._storeReq.storeData = q.sdq().front();
-    return &_owner._storeReq;
+    post(req);
 }
 
 void
@@ -80,6 +83,7 @@ Pipeline::DataPort::accepted()
         q.saq().pop();
         q.sdq().pop();
     }
+    refresh();
 }
 
 void
@@ -106,19 +110,26 @@ Pipeline::recentRetiredPcs() const
 Pipeline::StallReason
 Pipeline::issueHazard(const isa::Instruction &inst, Cycle now) const
 {
+    // The sources of Instruction::srcRegs(), without building the
+    // list: each r7 pops one LDQ entry, any other must be free.
+    const auto &info = isa::opcodeInfo(inst.op);
     unsigned ldq_pops = 0;
-    for (std::uint8_t r : inst.srcRegs()) {
+    const auto busy = [&](unsigned r) {
         if (r == isa::queueReg) {
             ++ldq_pops;
-        } else if (_regs.busyUntil(r) > now) {
-            return StallReason::RegBusy;
+            return false;
         }
-    }
+        return _regs.busyUntil(r) > now;
+    };
+    if ((info.hasRs1 && busy(inst.rs1)) || (info.hasRs2 && busy(inst.rs2)) ||
+        (inst.op == Opcode::Pbr && inst.cond != Cond::Always &&
+         busy(inst.rs1)))
+        return StallReason::RegBusy;
     if (ldq_pops > _queues.ldq().size())
         return StallReason::LdqEmpty;
-    if (inst.pushesSdq() && _queues.sdq().full())
+    if (info.hasRd && inst.rd == isa::queueReg && _queues.sdq().full())
         return StallReason::SdqFull;
-    if (inst.isLoad()) {
+    if (info.isLoad) {
         if (_queues.laq().full())
             return StallReason::LaqFull;
         // Reserve an LDQ slot: entries present, minus the ones this
@@ -128,9 +139,29 @@ Pipeline::issueHazard(const isa::Instruction &inst, Cycle now) const
             _queues.ldq().capacity())
             return StallReason::LdqReserved;
     }
-    if (inst.isStore() && _queues.saq().full())
+    if (info.isStore && _queues.saq().full())
         return StallReason::SaqFull;
     return StallReason::None;
+}
+
+void
+Pipeline::checkLdqDeadlock(StallReason hazard, Cycle now) const
+{
+    if ((hazard != StallReason::LdqEmpty &&
+         hazard != StallReason::LdqReserved) ||
+        _loadsIssued != _loadsDelivered)
+        return;
+    // Only an issued load can add an LDQ entry or free a reservation,
+    // and issue is stuck behind this instruction.
+    simAbort("issue deadlocked at cycle ", now, ": ",
+             isa::mnemonic(_issueLatch->inst.op), " @ 0x", std::hex,
+             _issueLatch->pc, std::dec, " waits on the LDQ (",
+             _queues.ldq().size(), "/", _queues.ldq().capacity(),
+             " entries) with no load in flight; the program keeps more "
+             "loads ahead of their consumers than cpu.ldqEntries = ",
+             _cfg.ldqEntries,
+             " holds (generated code needs codegen's ldqWindow <= "
+             "ldqEntries - 1)");
 }
 
 Word
@@ -163,12 +194,14 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
       case Opcode::Ld:
       case Opcode::LdX:
         _queues.laq().push(PendingAccess{_memOpSeq++, o.memAddr});
+        _dataPort.refresh();
         ++_loadsIssued;
         ++_loads;
         break;
       case Opcode::St:
       case Opcode::StX:
         _queues.saq().push(PendingAccess{_memOpSeq++, o.memAddr});
+        _dataPort.refresh();
         ++_stores;
         break;
       case Opcode::Pbr:
@@ -194,6 +227,7 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
     if (info.hasRd) {
         if (inst.rd == isa::queueReg) {
             _queues.sdq().push(o.result);
+            _dataPort.refresh();
         } else {
             _regs.write(inst.rd, o.result);
             _regs.setBusyUntil(inst.rd, now + _cfg.aluLatency);
@@ -372,6 +406,7 @@ Pipeline::tick(Cycle now)
             _issueLatch.reset();
             t.idle = false;
         } else {
+            checkLdqDeadlock(t.hazard, now);
             cls = countStall(t.hazard, 1);
         }
     }
@@ -385,8 +420,8 @@ Pipeline::tick(Cycle now)
 
     // 4. Fetch into the decode latch.
     if (!_halted && !_idLatch) {
-        if (_fetch.instructionReady()) {
-            _idLatch = _fetch.take();
+        _idLatch = _fetch.tryTake();
+        if (_idLatch) {
             t.idle = false;
         } else {
             ++_fetchStarveCycles;
@@ -579,6 +614,7 @@ Pipeline::restoreState(StateReader &r)
     const std::size_t head = ringHead();
     for (std::size_t i = 0; i < ring.size(); ++i)
         _retiredPcs[(head + i) % ring.size()] = ring[i];
+    _dataPort.refresh();
 }
 
 void

@@ -33,8 +33,9 @@
  *
  * The Load/Store address queues drain to the memory system through a
  * MemClient in program order (conservative memory-conflict handling,
- * which the Livermore recurrences rely on); data returns fill the
- * LDQ strictly in load order.
+ * which the Livermore recurrences rely on): its slot holds the oldest
+ * access, reposted wherever a queue head changes.  Data returns fill
+ * the LDQ strictly in load order.
  */
 
 #ifndef PIPESIM_CPU_PIPELINE_HH
@@ -182,7 +183,14 @@ class Pipeline
     {
       public:
         explicit DataPort(Pipeline &owner) : _owner(owner) {}
-        const MemRequest *peek() override;
+
+        /**
+         * Post the oldest pending access: the LAQ head if it is older
+         * than the SAQ head, else the SAQ head once its SDQ data
+         * exists, else nothing.  Called wherever a head changes.
+         */
+        void refresh();
+
         void accepted() override;
         void loadData(const MemRequest &req, Word value) override;
 
@@ -216,6 +224,12 @@ class Pipeline
     };
 
     StallReason issueHazard(const isa::Instruction &inst, Cycle now) const;
+
+    /**
+     * An issue stall on the LDQ with no load in flight never clears:
+     * raise SimAbort, naming the queue size the program overran.
+     */
+    void checkLdqDeadlock(StallReason hazard, Cycle now) const;
 
     /**
      * The first cycle after @p last at which every busy source of the
@@ -269,10 +283,6 @@ class Pipeline
         Addr target;
     };
     std::optional<Resolve> _pendingResolve;
-
-    /** The data port's candidates, refreshed by every peek. */
-    MemRequest _loadReq;
-    MemRequest _storeReq;
 
     /**
      * What the last tick did, for the idle skip: whether it left the

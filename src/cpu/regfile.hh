@@ -7,6 +7,9 @@
  * Register r7 of the visible bank is the architectural queue
  * register; the pipeline intercepts reads/writes of it (LDQ/SDQ), so
  * its storage here is never used.
+ *
+ * The accessors are inline: the pipeline calls them on every issue
+ * check.
  */
 
 #ifndef PIPESIM_CPU_REGFILE_HH
@@ -14,6 +17,7 @@
 
 #include <array>
 
+#include "common/log.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 #include "isa/fields.hh"
@@ -26,24 +30,42 @@ class RegFile
   public:
     RegFile() { reset(); }
 
-    void reset();
+    void
+    reset()
+    {
+        _regs.fill(0);
+        _busy.fill(0);
+        _branch.fill(0);
+        _bank = 0;
+    }
 
     /** Read data register @p r of the visible bank. */
-    Word read(unsigned r) const;
+    Word read(unsigned r) const { return _regs[index(r)]; }
 
     /** Write data register @p r of the visible bank. */
-    void write(unsigned r, Word value);
+    void write(unsigned r, Word value) { _regs[index(r)] = value; }
 
     /** Cycle until which register @p r is busy (result latency). */
-    Cycle busyUntil(unsigned r) const;
-    void setBusyUntil(unsigned r, Cycle cycle);
+    Cycle busyUntil(unsigned r) const { return _busy[index(r)]; }
+    void setBusyUntil(unsigned r, Cycle cycle) { _busy[index(r)] = cycle; }
 
     /** Toggle foreground/background banks (the RSW instruction). */
     void switchBanks() { _bank ^= 1; }
     unsigned currentBank() const { return _bank; }
 
-    Addr readBranch(unsigned br) const;
-    void writeBranch(unsigned br, Addr value);
+    Addr
+    readBranch(unsigned br) const
+    {
+        PIPESIM_ASSERT(br < isa::numBranchRegs, "bad branch register ", br);
+        return _branch[br];
+    }
+
+    void
+    writeBranch(unsigned br, Addr value)
+    {
+        PIPESIM_ASSERT(br < isa::numBranchRegs, "bad branch register ", br);
+        _branch[br] = value;
+    }
 
     void saveState(StateWriter &w) const
     {
@@ -72,7 +94,12 @@ class RegFile
     }
 
   private:
-    unsigned index(unsigned r) const;
+    unsigned
+    index(unsigned r) const
+    {
+        PIPESIM_ASSERT(r < isa::numDataRegs, "bad register number ", r);
+        return _bank * isa::numDataRegs + r;
+    }
 
     std::array<Word, 2 * isa::numDataRegs> _regs;
     std::array<Cycle, 2 * isa::numDataRegs> _busy;

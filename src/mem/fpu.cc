@@ -60,6 +60,7 @@ FpuDevice::queueRead(const MemRequest &req, Cycle now)
     if (off != 8)
         fatal("load from FPU operand address ", req.addr);
     _reads[unsigned(kindOf(req.addr))].push_back(PendingRead{req});
+    ++_pendingReads;
 }
 
 std::optional<FpuDevice::ReadyRead>
@@ -68,6 +69,8 @@ FpuDevice::peekReady(Cycle now) const
     // Among kinds with both a pending read and a ready result, return
     // the one whose read is oldest in data-sequence order, so the
     // caller can enforce in-order LDQ fill.
+    if (_pendingReads == 0)
+        return std::nullopt;
     const PendingRead *best = nullptr;
     const Result *best_result = nullptr;
     for (unsigned k = 0; k < unsigned(FpuOp::NumOps); ++k) {
@@ -94,16 +97,8 @@ FpuDevice::popReady(Cycle now)
     const unsigned k = unsigned(kindOf(ready->req->addr));
     _reads[k].pop_front();
     _results[k].pop_front();
+    --_pendingReads;
     ++_resultsReturned;
-}
-
-std::size_t
-FpuDevice::pendingReads() const
-{
-    std::size_t n = 0;
-    for (const auto &q : _reads)
-        n += q.size();
-    return n;
 }
 
 Cycle

@@ -94,7 +94,7 @@ class FpuDevice
     void popReady(Cycle now);
 
     /** @return number of reads waiting for results. */
-    std::size_t pendingReads() const;
+    std::size_t pendingReads() const { return _pendingReads; }
 
     /**
      * The first cycle after @p last at which a result becomes ready,
@@ -143,9 +143,11 @@ class FpuDevice
                 kind.push_back(res);
             }
         }
+        _pendingReads = 0;
         for (auto &kind : _reads) {
             kind.clear();
             const std::uint32_t n = r.u32();
+            _pendingReads += n;
             for (std::uint32_t i = 0; i < n; ++i) {
                 PendingRead pr;
                 pr.req = restoreMemRequest(r);
@@ -175,6 +177,8 @@ class FpuDevice
     std::array<Word, unsigned(FpuOp::NumOps)> _latchA{};
     std::array<std::deque<Result>, unsigned(FpuOp::NumOps)> _results;
     std::array<std::deque<PendingRead>, unsigned(FpuOp::NumOps)> _reads;
+    /** Reads queued across every kind, so an idle device scans none. */
+    std::size_t _pendingReads = 0;
 
     Counter _opsStarted;
     Counter _resultsReturned;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <ostream>
+#include <utility>
 
 #include "common/bitutil.hh"
 #include "common/log.hh"
@@ -25,8 +26,22 @@ MemorySystem::MemorySystem(const MemSystemConfig &config,
 }
 
 void
+MemorySystem::attach(MemClient *&slot, MemClient *client)
+{
+    if (slot)
+        slot->_posted = nullptr;
+    slot = client;
+    if (client)
+        client->_posted = &_posted;
+    _posted = true;
+}
+
+void
 MemorySystem::tick(Cycle now)
 {
+    // Cleared first: a slot the clients rewrite from this tick's
+    // callbacks is a change the next tick must see.
+    _posted = false;
     _demandFetchContended = false;
     bool active = _extMem.tick(now);
     active |= deliverLocalResponse(now);
@@ -34,19 +49,19 @@ MemorySystem::tick(Cycle now)
     active |= serviceDcache(now);
     active |= acceptOutputBus(now);
     _idle = !active;
+    if (_idle)
+        _wake = idleWake(now);
 }
 
 Cycle
-MemorySystem::nextEvent(Cycle last) const
+MemorySystem::idleWake(Cycle now) const
 {
-    if (!_idle)
-        return last + 1;
-    // An idle tick compares the clock only with ready times: the
-    // external memory's head, the FPU results and the data-cache hit
-    // at the head of the local responses.  A response that is ready
-    // but out of LDQ order stays blocked until another one moves.
-    Cycle next = std::min(_extMem.nextEvent(last), _fpu.nextEvent(last));
-    if (!_localResponses.empty() && _localResponses.front().readyAt > last)
+    // The clock is compared only with the external memory's head, the
+    // FPU results and the data-cache hit at the head of the local
+    // responses.  A response that is ready but out of LDQ order stays
+    // blocked until another one moves.
+    Cycle next = std::min(_extMem.nextEvent(now), _fpu.nextEvent(now));
+    if (!_localResponses.empty() && _localResponses.front().readyAt > now)
         next = std::min(next, _localResponses.front().readyAt);
     return next;
 }
@@ -60,7 +75,7 @@ MemorySystem::serviceDcache(Cycle now)
 {
     if (!_dcache || !_dataClient)
         return false;
-    const MemRequest *req = _dataClient->peek();
+    const MemRequest *req = _dataClient->request();
     if (!req || req->isStore || FpuDevice::contains(req->addr))
         return false;
     if (!_dcache->bytesValid(req->addr, req->bytes)) {
@@ -98,12 +113,8 @@ MemorySystem::deliverLocalResponse(Cycle now)
 MemClient &
 MemorySystem::owner(const MemRequest &req) const
 {
-    MemClient *client = nullptr;
-    switch (req.cls) {
-      case ReqClass::Data: client = _dataClient; break;
-      case ReqClass::IFetchDemand: client = _demandClient; break;
-      case ReqClass::IPrefetch: client = _prefetchClient; break;
-    }
+    MemClient *client =
+        req.cls == ReqClass::Data ? _dataClient : _instrClient;
     PIPESIM_ASSERT(client, "response for unregistered ",
                    reqClassName(req.cls), " client");
     return *client;
@@ -229,33 +240,28 @@ MemorySystem::deliverInputBus(Cycle now)
 }
 
 bool
-MemorySystem::tryAccept(MemClient *client, Cycle now)
+MemorySystem::tryAccept(MemClient &client, Cycle now)
 {
-    if (!client)
-        return false;
-    const MemRequest *peeked = client->peek();
-    if (!peeked)
-        return false;
+    const MemRequest *posted = client.request();
 
     // Injected arbitration fault: withhold the grant this cycle.  The
     // client retries next cycle exactly as it would after losing real
     // arbitration, so this only stretches timing (rate 1.0 starves
     // the bus outright -- a clean way to force a deadlock).
     if (_faults && _faults->delayGrant()) {
-        noteContention(now, peeked->cls);
+        noteContention(now, posted->cls);
         return false;
     }
 
-    const bool to_fpu = FpuDevice::contains(peeked->addr);
+    const bool to_fpu = FpuDevice::contains(posted->addr);
     if (!to_fpu && !_extMem.canAccept()) {
-        noteContention(now, peeked->cls);
+        noteContention(now, posted->cls);
         return false;
     }
 
-    // The one copy of the request: accepted() resets the storage the
-    // peeked pointer refers to.
-    MemRequest req = *peeked;
-    client->accepted();
+    // The one copy of the request: accepted() rewrites the slot.
+    MemRequest req = *posted;
+    client.accepted();
     ++_outputBusBusyCycles;
     if (_probes && _probes->busGrant.active())
         _probes->busGrant.notify(
@@ -304,24 +310,25 @@ MemorySystem::tryAccept(MemClient *client, Cycle now)
 bool
 MemorySystem::acceptOutputBus(Cycle now)
 {
-    std::array<MemClient *, 3> order;
-    if (_config.instructionPriority)
-        order = {_demandClient, _dataClient, _prefetchClient};
-    else
-        order = {_dataClient, _demandClient, _prefetchClient};
+    // Presentation order: data, then the fetch unit's request, unless
+    // that is a demand fetch and instructions have priority.
+    std::array<MemClient *, 2> order{_dataClient, _instrClient};
+    if (_config.instructionPriority && _instrClient &&
+        _instrClient->request() &&
+        _instrClient->request()->cls == ReqClass::IFetchDemand)
+        std::swap(order[0], order[1]);
 
     for (std::size_t i = 0; i < order.size(); ++i) {
-        if (!tryAccept(order[i], now))
+        if (!order[i] || !order[i]->request() || !tryAccept(*order[i], now))
             continue;
-        // Lower-priority clients with a request pending this cycle
-        // lost arbitration.  Only a losing demand fetch matters to the
-        // cycle accounting, so the other losers are peeked only when
+        // A later client with a request posted this cycle lost
+        // arbitration.  Only a losing demand fetch matters to the
+        // cycle accounting; the others are reported only when
         // someone listens to the probe.
         const bool report = _probes && _probes->busContention.active();
         for (std::size_t j = i + 1; j < order.size(); ++j) {
-            if (!order[j] || (!report && order[j] != _demandClient))
-                continue;
-            if (const MemRequest *loser = order[j]->peek())
+            const MemRequest *loser = order[j] ? order[j]->request() : nullptr;
+            if (loser && (report || loser->cls == ReqClass::IFetchDemand))
                 noteContention(now, loser->cls);
         }
         return true;
@@ -404,6 +411,8 @@ MemorySystem::saveState(StateWriter &w) const
 void
 MemorySystem::restoreState(StateReader &r)
 {
+    // The restored state was not ticked here: the next tick must run.
+    _posted = true;
     _transfer.reset();
     if (r.b()) {
         Transfer t;

@@ -69,19 +69,21 @@ class MemorySystem
 
     /**
      * Register the CPU's data-queue request source; Data-class
-     * responses return to it.
+     * responses return to it.  Pass nullptr to unregister.
      */
-    void setDataClient(MemClient *client) { _dataClient = client; }
+    void setDataClient(MemClient *client) { attach(_dataClient, client); }
+
     /**
-     * Register the fetch unit's demand-miss request source;
-     * IFetchDemand-class responses return to it.
+     * Register the fetch unit's request source.  Its posted request's
+     * class picks its priority: an IFetchDemand request competes with
+     * data as instructionPriority says, an IPrefetch request always
+     * loses.  Responses of both classes return to it.
      */
-    void setDemandClient(MemClient *client) { _demandClient = client; }
-    /**
-     * Register the fetch unit's prefetch request source;
-     * IPrefetch-class responses return to it.
-     */
-    void setPrefetchClient(MemClient *client) { _prefetchClient = client; }
+    void
+    setInstructionClient(MemClient *client)
+    {
+        attach(_instrClient, client);
+    }
 
     /**
      * Attach the probe bus the memory system emits into: busGrant for
@@ -105,15 +107,38 @@ class MemorySystem
     void tick(Cycle now);
 
     /**
+     * Tick gating (see Simulator): tick(@p now), unless the last tick
+     * was idle, no client slot changed since, and @p now is before
+     * that tick's next event; then account @p now as one more repeat
+     * of it.  Exact only when nothing draws from a random stream or
+     * listens on a probe per cycle.
+     * @return true if the tick ran.
+     */
+    bool
+    tickGated(Cycle now)
+    {
+        if (_idle && !_posted && now < _wake) {
+            repeatIdleTick(1);
+            return false;
+        }
+        tick(now);
+        return true;
+    }
+
+    /**
      * The idle skip (see Simulator): the first cycle after @p last
-     * whose tick may differ from a repeat of tick(@p last), assuming
+     * whose tick may differ from a repeat of the last one, assuming
      * the clients stay as they are.  @p last + 1 unless that tick
      * moved nothing (no store retired, no response delivered or
-     * selected, no data-cache service, no grant); then the next
-     * cycle an external-memory request, an FPU result or a data-cache
-     * hit becomes ready, else neverCycle.
+     * selected, no data-cache service, no grant) and no slot changed
+     * since; then the next cycle an external-memory request, an FPU
+     * result or a data-cache hit becomes ready, else neverCycle.
      */
-    Cycle nextEvent(Cycle last) const;
+    Cycle
+    nextEvent(Cycle last) const
+    {
+        return _idle && !_posted ? _wake : last + 1;
+    }
 
     /** Account @p n skipped repeats of the last tick. */
     void repeatIdleTick(Cycle n) { _extMem.repeatIdleTick(n); }
@@ -183,12 +208,23 @@ class MemorySystem
     void selectTransfer(Cycle now);
     void deliverBeat(Cycle now);
     bool acceptOutputBus(Cycle now);
-    bool tryAccept(MemClient *client, Cycle now);
+    /** Offer @p client's posted request (it has one) for a grant. */
+    bool tryAccept(MemClient &client, Cycle now);
     bool serviceDcache(Cycle now);
     bool deliverLocalResponse(Cycle now);
 
     /** True if this response may start transferring now. */
     bool deliverable(const MemRequest &req) const;
+
+    /** Register @p client in @p slot, unregistering its predecessor. */
+    void attach(MemClient *&slot, MemClient *client);
+
+    /**
+     * After an idle tick at @p now, the first later cycle whose tick
+     * may differ: an idle tick compares the clock only with ready
+     * times.
+     */
+    Cycle idleWake(Cycle now) const;
 
     /** The client that owns @p req's class (its responses go there). */
     MemClient &owner(const MemRequest &req) const;
@@ -208,8 +244,7 @@ class MemorySystem
     FpuDevice _fpu;
 
     MemClient *_dataClient = nullptr;
-    MemClient *_demandClient = nullptr;
-    MemClient *_prefetchClient = nullptr;
+    MemClient *_instrClient = nullptr;
     obs::ProbeBus *_probes = nullptr;
     fault::FaultInjector *_faults = nullptr;
 
@@ -218,6 +253,10 @@ class MemorySystem
 
     /** The last tick changed nothing but counters (see nextEvent). */
     bool _idle = false;
+    /** A client slot changed since the last tick (see MemClient). */
+    bool _posted = true;
+    /** After an idle tick: its idleWake(). */
+    Cycle _wake = 0;
 
     /** On-chip data cache state (extension; see MemSystemConfig). */
     std::optional<SubblockCache> _dcache;

@@ -9,6 +9,7 @@
 #define PIPESIM_MEM_REQUEST_HH
 
 #include <cstdint>
+#include <optional>
 
 #include "common/state_io.hh"
 #include "common/types.hh"
@@ -63,6 +64,8 @@ struct MemRequest
 
     /** Load value captured at acceptance (memory system internal). */
     Word loadData = 0;
+
+    bool operator==(const MemRequest &) const = default;
 };
 
 /**
@@ -126,25 +129,27 @@ reqClassName(ReqClass cls)
 /**
  * The interface between a requester and the memory system.
  *
- * Requests are pulled: each requester exposes at most one candidate
- * request per cycle; when the output bus accepts it the memory system
- * copies it and then calls accepted(), and the requester pops its
- * internal queue.  Responses are pushed back to the client registered
- * for the request's class, each passed the request it answers.
+ * Requests are posted: each requester owns one request slot holding
+ * the request it presents now, if any, and rewrites it whenever that
+ * changes (post(), withdraw()).  The memory system reads the slots
+ * directly when it arbitrates; when the output bus accepts a slot's
+ * request it copies it and then calls accepted(), and the requester
+ * pops its internal queue and posts its next request.  Every slot
+ * change marks the memory system posted, which is how a memory tick
+ * that would repeat an idle one knows it may be skipped
+ * (docs/internals.md, "Tick gating").  Responses are pushed back to
+ * the client registered for the request's class, each passed the
+ * request it answers.
  */
 class MemClient
 {
   public:
     virtual ~MemClient() = default;
 
-    /**
-     * The request this client wants to issue now, or nullptr.  The
-     * pointer refers to the client's own storage and stays valid only
-     * until the next call into the client.
-     */
-    virtual const MemRequest *peek() = 0;
+    /** The request this client presents now, or nullptr. */
+    const MemRequest *request() const { return _slot ? &*_slot : nullptr; }
 
-    /** The peeked request was accepted this cycle. */
+    /** The posted request was accepted this cycle. */
     virtual void accepted() = 0;
 
     /**
@@ -171,6 +176,41 @@ class MemClient
      * unit is expected to discard its fill state and retry.
      */
     virtual void parityError(const MemRequest &) {}
+
+  protected:
+    /** Present @p req from now on, replacing any posted request. */
+    void
+    post(const MemRequest &req)
+    {
+        if (_slot && *_slot == req)
+            return;
+        _slot = req;
+        notePosted();
+    }
+
+    /** Present nothing from now on. */
+    void
+    withdraw()
+    {
+        if (!_slot)
+            return;
+        _slot.reset();
+        notePosted();
+    }
+
+  private:
+    friend class MemorySystem;
+
+    void
+    notePosted()
+    {
+        if (_posted)
+            *_posted = true;
+    }
+
+    std::optional<MemRequest> _slot;
+    /** The registered memory system's posted flag, or nullptr. */
+    bool *_posted = nullptr;
 };
 
 } // namespace pipesim

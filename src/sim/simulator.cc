@@ -83,8 +83,24 @@ Simulator::step()
     _fetch->tick(_now);
     _mem->tick(_now);
     _pipeline->tick(_now);
-    ++_ticksExecuted;
+    ++_fetchTicks;
+    ++_memTicks;
+    endCycle();
+}
 
+void
+Simulator::stepGated()
+{
+    _fetchTicks += _fetch->tickGated(_now);
+    _memTicks += _mem->tickGated(_now);
+    _pipeline->tick(_now);
+    endCycle();
+}
+
+void
+Simulator::endCycle()
+{
+    ++_ticksExecuted;
     if (_pipeline->instructionsRetired() != _lastRetired) {
         _lastRetired = _pipeline->instructionsRetired();
         _lastProgressCycle = _now;
@@ -188,12 +204,9 @@ Simulator::runLoopProfiled()
             memNs += t2 - t1;
             pipeNs += t3 - t2;
             ++cycles;
-            ++_ticksExecuted;
-            if (_pipeline->instructionsRetired() != _lastRetired) {
-                _lastRetired = _pipeline->instructionsRetired();
-                _lastProgressCycle = _now;
-            }
-            ++_now;
+            ++_fetchTicks;
+            ++_memTicks;
+            endCycle();
             checkWatchdogs();
         }
     } catch (...) {
@@ -240,18 +253,21 @@ Simulator::run()
 void
 Simulator::runUntil(std::size_t record)
 {
-    // Skipping is exact only when no one watches single cycles and no
-    // random stream is drawn per cycle.
-    const bool skip = !_faultInjector && !_probes.anyActive();
+    // Gating and skipping are exact only when no one watches single
+    // cycles and no random stream is drawn per cycle.
+    const bool gate = !_faultInjector && !_probes.anyActive();
     // The memo also needs the trace's control flow, and a timing model
     // that compares no data addresses: the data cache does.
-    const bool memo = skip && _memo && !_mem->hasDcache();
-    withSnapshot(*this, [this, record, skip, memo] {
+    const bool memo = gate && _memo && !_mem->hasDcache();
+    withSnapshot(*this, [this, record, gate, memo] {
         while (!done() && _pipeline->cursor() < record) {
             const std::size_t issued = _pipeline->cursor();
-            step();
-            if (skip)
+            if (gate) {
+                stepGated();
                 skipIdleCycles();
+            } else {
+                step();
+            }
             checkWatchdogs();
             if (memo && _pipeline->cursor() != issued)
                 memoize(record);

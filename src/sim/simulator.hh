@@ -12,13 +12,17 @@
  * delivery) -> pipeline (issue, branch resolution, fetch
  * consumption).
  *
- * Idle skip: when a cycle leaves every component as it was (nothing
- * issued, moved on a bus or was requested; only stall counters
- * grew), the following cycles repeat it until some component's clock
- * comparison flips.  runUntil() then asks each component for that
- * next event and jumps straight to it, adding the repeated counts in
- * bulk, so results are identical to ticking every cycle
- * (docs/internals.md, "Idle skip").
+ * Tick gating: runUntil() ticks the fetch unit and the memory system
+ * only when their tick can differ from a repeat of their last one.
+ * The fetch unit's idle tick repeats until something calls into the
+ * unit; the memory system's until a client reposts its request slot
+ * or one of its own ready times comes up.  A skipped tick only adds
+ * the counts an idle tick adds.  When no component's tick changed
+ * anything (nothing issued, moved on a bus or was requested; only
+ * stall counters grew), runUntil() asks each component for its next
+ * event and jumps the clock straight to it, adding the repeated
+ * counts in bulk.  Results are identical to ticking every cycle
+ * (docs/internals.md, "Tick gating").
  *
  * Loop memo: a machine with a trace value source also jumps over
  * whole loop iterations that repeat the previous ones, by restoring a
@@ -105,15 +109,15 @@ class Simulator
      * the pipeline's cursor reaches @p record.  The plain loop, with
      * zero host-profiling cost: the replay engine attributes its own
      * phases, and pooled windows must not touch the profiler from
-     * worker threads.  It skips idle cycles unless a fault injector
-     * is present or a probe listener is attached; on those terms, a
-     * machine with a trace value source and no data cache also skips
-     * repeating loop iterations.
+     * worker threads.  It gates ticks and skips idle cycles unless a
+     * fault injector is present or a probe listener is attached; on
+     * those terms, a machine with a trace value source and no data
+     * cache also skips repeating loop iterations.
      * @throws SimAbort carrying a machine snapshot.
      */
     void runUntil(std::size_t record);
 
-    /** Advance a single cycle (for fine-grained tests). */
+    /** Advance a single cycle, ticking every component. */
     void step();
 
     /**
@@ -123,6 +127,12 @@ class Simulator
      * from a checkpoint.
      */
     std::uint64_t ticksExecuted() const { return _ticksExecuted; }
+
+    /** Of those cycles, the ones whose fetch tick ran (not gated). */
+    std::uint64_t fetchTicksExecuted() const { return _fetchTicks; }
+
+    /** Of those cycles, the ones whose memory tick ran (not gated). */
+    std::uint64_t memTicksExecuted() const { return _memTicks; }
 
     /** @return true when the machine has halted and drained. */
     bool done() const;
@@ -187,6 +197,12 @@ class Simulator
      */
     void runLoopProfiled();
 
+    /** step() with the fetch and memory ticks gated. */
+    void stepGated();
+
+    /** The end of every cycle: progress bookkeeping, clock. */
+    void endCycle();
+
     /** Watchdog checks shared by both loops. */
     void checkWatchdogs();
 
@@ -220,6 +236,8 @@ class Simulator
     Cycle _lastProgressCycle = 0;
     std::uint64_t _lastRetired = 0;
     std::uint64_t _ticksExecuted = 0;
+    std::uint64_t _fetchTicks = 0;
+    std::uint64_t _memTicks = 0;
 };
 
 /** Convenience: build, run and tear down a simulator in one call. */

@@ -82,3 +82,59 @@ TEST(FixedQueue, ZeroCapacityRejected)
 {
     EXPECT_THROW(FixedQueue<int>(0), PanicError);
 }
+
+TEST(FixedQueue, WrapsAroundItsStorage)
+{
+    // Many more pushes than slots: the ring's head and tail wrap.
+    FixedQueue<int> q(3);
+    int next_in = 0;
+    int next_out = 0;
+    for (int round = 0; round < 10; ++round) {
+        while (!q.full())
+            q.push(next_in++);
+        EXPECT_EQ(q.size(), 3u);
+        EXPECT_THROW(q.push(-1), PanicError);
+        for (int i = 0; i < 2; ++i)
+            EXPECT_EQ(q.pop(), next_out++);
+    }
+    while (!q.empty())
+        EXPECT_EQ(q.pop(), next_out++);
+    EXPECT_EQ(next_out, next_in);
+    EXPECT_THROW(q.pop(), PanicError);
+}
+
+TEST(FixedQueue, RandomAccessAcrossTheSeam)
+{
+    FixedQueue<int> q(4);
+    for (int v : {0, 1, 2, 3})
+        q.push(v);
+    q.pop();
+    q.pop();
+    q.push(4);
+    q.push(5); // storage now holds 4 5 2 3: the head is past the seam
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(q.at(i), int(i) + 2);
+    EXPECT_EQ(q.front(), 2);
+    EXPECT_THROW(q.at(4), PanicError);
+}
+
+TEST(FixedQueue, ClearThenReuse)
+{
+    FixedQueue<std::string> q(3);
+    q.push("a");
+    q.push("b");
+    q.pop();
+    q.push("c");
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.freeSlots(), 3u);
+    EXPECT_THROW(q.front(), PanicError);
+    for (const char *v : {"x", "y", "z"})
+        q.push(v);
+    EXPECT_TRUE(q.full());
+    EXPECT_EQ(q.at(0), "x");
+    EXPECT_EQ(q.at(2), "z");
+    EXPECT_EQ(q.pop(), "x");
+    q.push("w");
+    EXPECT_EQ(q.at(2), "w");
+}

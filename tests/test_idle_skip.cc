@@ -1,9 +1,11 @@
 /**
- * The simulator loop's idle skip (sim/simulator.hh): Simulator::run()
- * jumps over cycles that only repeat the previous one, and must give
- * exactly what ticking every cycle gives — total cycles, instructions,
- * every counter, the full statistics dump (queue-occupancy histograms
- * included) and the Livermore kernels' outputs — across memory speeds,
+ * The simulator loop's tick gating and idle skip (sim/simulator.hh):
+ * Simulator::run() skips fetch and memory ticks that would repeat an
+ * idle one and jumps over cycles that only repeat the previous one,
+ * and must give exactly what ticking every cycle gives — total
+ * cycles, instructions, every counter, the full statistics dump
+ * (queue-occupancy histograms included), the Livermore kernels'
+ * outputs and the checkpointed machine state — across memory speeds,
  * memory organizations, bus widths and fetch strategies.  A watchdog
  * must also abort at the same cycle with the same message.
  */
@@ -131,9 +133,44 @@ TEST_P(IdleSkip, RunMatchesEveryCycleLoop)
     EXPECT_EQ(skipping.now(), ticking.now());
     EXPECT_EQ(skipping.stats().dump(), ticking.stats().dump());
     EXPECT_EQ(ticking.ticksExecuted(), ticking.now());
+    EXPECT_EQ(ticking.fetchTicksExecuted(), ticking.now());
+    EXPECT_EQ(ticking.memTicksExecuted(), ticking.now());
     EXPECT_LE(skipping.ticksExecuted(), skipping.now());
+    EXPECT_LE(skipping.fetchTicksExecuted(), skipping.ticksExecuted());
+    EXPECT_LE(skipping.memTicksExecuted(), skipping.ticksExecuted());
     expectKernelsPass(skipping);
     expectKernelsPass(ticking);
+}
+
+std::vector<std::uint8_t>
+savedState(const Simulator &sim)
+{
+    StateWriter w;
+    sim.saveState(w);
+    return w.take();
+}
+
+TEST_P(IdleSkip, CheckpointMatchesSteppedMachineAtTheSameCycle)
+{
+    // A checkpoint window's payload is Simulator::saveState: a gated
+    // machine stopped mid-run must write the bytes a machine that
+    // ticked every cycle writes at the same cycle.
+    const SimConfig &cfg = GetParam().cfg;
+    const Program &program = benchmark().program;
+    const std::uint64_t total = runSimulation(cfg, program).instructions;
+
+    Simulator gated(cfg, program);
+    Simulator stepped(cfg, program);
+    for (std::uint64_t record : {total / 3, 2 * total / 3}) {
+        gated.runUntil(record);
+        while (stepped.pipeline().cursor() < record)
+            stepped.step();
+        ASSERT_LE(stepped.now(), gated.now());
+        while (stepped.now() < gated.now())
+            stepped.step();
+        EXPECT_EQ(savedState(gated), savedState(stepped))
+            << "at record " << record << ", cycle " << gated.now();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -194,6 +231,20 @@ TEST(IdleSkipWatchdog, ProgressWindowAbortsAtTheSameCycle)
     cfg.fetch = conventionalConfigFor(64);
     cfg.progressWindow = 4;
     expectSameAbort(cfg);
+}
+
+TEST(IdleSkipWork, GatesMostFigureFiveFetchTicks)
+{
+    // Waiting on the bus, the fetch unit has nothing to do: its tick
+    // runs on fewer than half the cycles, the memory system's on
+    // fewer than the loop's.
+    SimConfig cfg;
+    cfg.mem.accessTime = 6;
+    cfg.fetch = pipeConfigFor("16-16", 64);
+    Simulator sim(cfg, benchmark().program);
+    sim.run();
+    EXPECT_LT(sim.fetchTicksExecuted(), sim.now() / 2);
+    EXPECT_LT(sim.memTicksExecuted(), sim.ticksExecuted());
 }
 
 TEST(IdleSkipWork, SkipsAFifthOfFigureFiveCycles)

@@ -13,8 +13,9 @@ namespace
 {
 
 /**
- * A scriptable memory client for driving the arbitration logic; it
- * records the responses the memory system returns to it.
+ * A scriptable memory client for driving the arbitration logic: it
+ * posts the head of its queue, and records the responses the memory
+ * system returns to it.
  */
 class FakeClient : public MemClient
 {
@@ -27,10 +28,20 @@ class FakeClient : public MemClient
     /** Input-bus beats delivered: (base address, bytes). */
     std::vector<std::pair<Addr, unsigned>> beats;
 
-    const MemRequest *
-    peek() override
+    /** Queue @p req behind the others. */
+    void
+    push(const MemRequest &req)
     {
-        return queue.empty() ? nullptr : &queue.front();
+        queue.push_back(req);
+        repost();
+    }
+
+    /** Drop every queued request, the posted one included. */
+    void
+    cancel()
+    {
+        queue.clear();
+        repost();
     }
 
     void
@@ -38,6 +49,7 @@ class FakeClient : public MemClient
     {
         queue.pop_front();
         ++acceptedCount;
+        repost();
     }
 
     void
@@ -52,6 +64,16 @@ class FakeClient : public MemClient
     {
         beats.push_back({addr, bytes});
     }
+
+  private:
+    void
+    repost()
+    {
+        if (queue.empty())
+            withdraw();
+        else
+            post(queue.front());
+    }
 };
 
 struct Harness
@@ -60,8 +82,7 @@ struct Harness
         : mem(dataMem), sys(cfg, dataMem)
     {
         sys.setDataClient(&data);
-        sys.setDemandClient(&demand);
-        sys.setPrefetchClient(&prefetch);
+        sys.setInstructionClient(&instr);
     }
 
     void
@@ -74,7 +95,7 @@ struct Harness
     DataMemory dataMem{1 << 16};
     DataMemory &mem;
     MemorySystem sys;
-    FakeClient data, demand, prefetch;
+    FakeClient data, instr;
     Cycle now = 0;
 };
 
@@ -119,7 +140,7 @@ TEST(MemorySystemTest, LoadRoundTripLatency)
     cfg.accessTime = 3;
     Harness h(cfg);
     h.dataMem.writeWord(0x100, 0xabcd);
-    h.data.queue.push_back(makeLoad(0x100, 0));
+    h.data.push(makeLoad(0x100, 0));
 
     h.run(3); // accepted at cycle 0, ready at 3, delivered at tick 3
     EXPECT_TRUE(h.data.loaded.empty());
@@ -131,8 +152,8 @@ TEST(MemorySystemTest, LoadRoundTripLatency)
 TEST(MemorySystemTest, StoreThenLoadSeesNewValue)
 {
     Harness h;
-    h.data.queue.push_back(makeStore(0x40, 123));
-    h.data.queue.push_back(makeLoad(0x40, 0));
+    h.data.push(makeStore(0x40, 123));
+    h.data.push(makeLoad(0x40, 0));
     h.run(10);
     ASSERT_EQ(h.data.loaded.size(), 1u);
     EXPECT_EQ(h.data.loaded[0], 123u);
@@ -146,8 +167,8 @@ TEST(MemorySystemTest, LoadBeforeStoreSeesOldValue)
     cfg.pipelined = true;
     Harness h(cfg);
     h.dataMem.writeWord(0x40, 7);
-    h.data.queue.push_back(makeLoad(0x40, 0));
-    h.data.queue.push_back(makeStore(0x40, 99));
+    h.data.push(makeLoad(0x40, 0));
+    h.data.push(makeStore(0x40, 99));
     h.run(12);
     ASSERT_EQ(h.data.loaded.size(), 1u);
     EXPECT_EQ(h.data.loaded[0], 7u); // captured at acceptance, not delivery
@@ -160,12 +181,12 @@ TEST(MemorySystemTest, LineFetchBeatsMatchBusWidth)
     cfg.accessTime = 1;
     cfg.busWidthBytes = 8;
     Harness h(cfg);
-    h.demand.queue.push_back(
+    h.instr.push(
         makeIFetch(0x200, 32, ReqClass::IFetchDemand));
     h.run(10);
-    ASSERT_EQ(h.demand.beats.size(), 4u);
-    EXPECT_EQ(h.demand.beats[0], (std::pair<Addr, unsigned>{0x200, 8}));
-    EXPECT_EQ(h.demand.beats[3], (std::pair<Addr, unsigned>{0x218, 8}));
+    ASSERT_EQ(h.instr.beats.size(), 4u);
+    EXPECT_EQ(h.instr.beats[0], (std::pair<Addr, unsigned>{0x200, 8}));
+    EXPECT_EQ(h.instr.beats[3], (std::pair<Addr, unsigned>{0x218, 8}));
 }
 
 TEST(MemorySystemTest, NarrowBusTakesTwiceTheBeats)
@@ -173,10 +194,10 @@ TEST(MemorySystemTest, NarrowBusTakesTwiceTheBeats)
     MemSystemConfig cfg;
     cfg.busWidthBytes = 4;
     Harness h(cfg);
-    h.demand.queue.push_back(
+    h.instr.push(
         makeIFetch(0x200, 32, ReqClass::IFetchDemand));
     h.run(12);
-    EXPECT_EQ(h.demand.beats.size(), 8u);
+    EXPECT_EQ(h.instr.beats.size(), 8u);
 }
 
 TEST(MemorySystemTest, InstructionPriorityConfigurable)
@@ -185,16 +206,16 @@ TEST(MemorySystemTest, InstructionPriorityConfigurable)
         MemSystemConfig cfg;
         cfg.instructionPriority = ipriority;
         Harness h(cfg);
-        h.data.queue.push_back(makeLoad(0x10, 0));
-        h.demand.queue.push_back(
+        h.data.push(makeLoad(0x10, 0));
+        h.instr.push(
             makeIFetch(0x100, 4, ReqClass::IFetchDemand));
         // One tick: exactly one of the two is accepted.
         h.sys.tick(h.now++);
         if (ipriority) {
-            EXPECT_EQ(h.demand.acceptedCount, 1u);
+            EXPECT_EQ(h.instr.acceptedCount, 1u);
             EXPECT_EQ(h.data.acceptedCount, 0u);
         } else {
-            EXPECT_EQ(h.demand.acceptedCount, 0u);
+            EXPECT_EQ(h.instr.acceptedCount, 0u);
             EXPECT_EQ(h.data.acceptedCount, 1u);
         }
     }
@@ -205,14 +226,14 @@ TEST(MemorySystemTest, PrefetchAlwaysLoses)
     MemSystemConfig cfg;
     cfg.pipelined = true;
     Harness h(cfg);
-    h.prefetch.queue.push_back(
+    h.instr.push(
         makeIFetch(0x300, 4, ReqClass::IPrefetch));
-    h.data.queue.push_back(makeLoad(0x10, 0));
+    h.data.push(makeLoad(0x10, 0));
     h.sys.tick(h.now++);
     EXPECT_EQ(h.data.acceptedCount, 1u);
-    EXPECT_EQ(h.prefetch.acceptedCount, 0u);
+    EXPECT_EQ(h.instr.acceptedCount, 0u);
     h.sys.tick(h.now++);
-    EXPECT_EQ(h.prefetch.acceptedCount, 1u);
+    EXPECT_EQ(h.instr.acceptedCount, 1u);
 }
 
 TEST(MemorySystemTest, NonPipelinedSerialisesRequests)
@@ -221,8 +242,8 @@ TEST(MemorySystemTest, NonPipelinedSerialisesRequests)
     cfg.accessTime = 4;
     cfg.pipelined = false;
     Harness h(cfg);
-    h.data.queue.push_back(makeLoad(0x10, 0));
-    h.data.queue.push_back(makeLoad(0x14, 1));
+    h.data.push(makeLoad(0x10, 0));
+    h.data.push(makeLoad(0x14, 1));
     h.run(2);
     EXPECT_EQ(h.data.acceptedCount, 1u); // second waits
     h.run(10);
@@ -237,7 +258,7 @@ TEST(MemorySystemTest, PipelinedAcceptsEveryCycle)
     cfg.pipelined = true;
     Harness h(cfg);
     for (unsigned i = 0; i < 4; ++i)
-        h.data.queue.push_back(makeLoad(0x10 + 4 * i, i));
+        h.data.push(makeLoad(0x10 + 4 * i, i));
     h.run(4);
     EXPECT_EQ(h.data.acceptedCount, 4u);
     h.run(8);
@@ -256,13 +277,13 @@ TEST(MemorySystemTest, DataLoadsDeliverInProgramOrderAcrossFpu)
     Harness h(cfg);
     h.dataMem.writeWord(0x20, 55);
 
-    h.data.queue.push_back(makeLoad(FpuDevice::opResult(FpuOp::Add), 0));
-    h.data.queue.push_back(makeLoad(0x20, 1));
+    h.data.push(makeLoad(FpuDevice::opResult(FpuOp::Add), 0));
+    h.data.push(makeLoad(0x20, 1));
     // Operand stores that start the FPU op (after the loads in
     // program order).
-    h.data.queue.push_back(
+    h.data.push(
         makeStore(FpuDevice::opA(FpuOp::Add), std::bit_cast<Word>(1.0f)));
-    h.data.queue.push_back(
+    h.data.push(
         makeStore(FpuDevice::opB(FpuOp::Add), std::bit_cast<Word>(2.0f)));
 
     h.run(30);
@@ -279,11 +300,11 @@ TEST(MemorySystemTest, FpuStoreDoesNotOccupyExternalMemory)
     cfg.pipelined = false;
     Harness h(cfg);
     // A long external load in flight...
-    h.data.queue.push_back(makeLoad(0x10, 0));
+    h.data.push(makeLoad(0x10, 0));
     h.sys.tick(h.now++);
     EXPECT_EQ(h.data.acceptedCount, 1u);
     // ...must not block a store routed to the FPU.
-    h.data.queue.push_back(
+    h.data.push(
         makeStore(FpuDevice::opA(FpuOp::Mul), std::bit_cast<Word>(2.f)));
     h.sys.tick(h.now++);
     EXPECT_EQ(h.data.acceptedCount, 2u);
@@ -293,7 +314,7 @@ TEST(MemorySystemTest, QuiescentTracksOutstandingWork)
 {
     Harness h;
     EXPECT_TRUE(h.sys.quiescent());
-    h.data.queue.push_back(makeLoad(0x10, 0));
+    h.data.push(makeLoad(0x10, 0));
     h.sys.tick(h.now++);
     EXPECT_FALSE(h.sys.quiescent());
     h.run(5);
@@ -314,7 +335,7 @@ TEST(MemorySystemTest, AccessTimeOneDeliversNextCycle)
     cfg.accessTime = 1;
     Harness h(cfg);
     h.dataMem.writeWord(0x10, 9);
-    h.data.queue.push_back(makeLoad(0x10, 0));
+    h.data.push(makeLoad(0x10, 0));
     h.sys.tick(0); // accepted
     EXPECT_TRUE(h.data.loaded.empty());
     h.sys.tick(1); // delivered
@@ -332,7 +353,77 @@ TEST(MemorySystemTest, NonPipelinedSingleBeatSustainsOnePerTwoCycles)
     cfg.pipelined = false;
     Harness h(cfg);
     for (unsigned i = 0; i < 4; ++i)
-        h.data.queue.push_back(makeLoad(0x10 + 4 * i, i));
+        h.data.push(makeLoad(0x10 + 4 * i, i));
     h.run(9);
     EXPECT_EQ(h.data.loaded.size(), 4u);
+}
+
+TEST(MemorySystemTest, PostedThenWithdrawnIsNeverGranted)
+{
+    // Withdrawn before the first tick, and again in the middle of an
+    // idle stretch the gated tick skips.
+    for (bool gated : {false, true}) {
+        MemSystemConfig cfg;
+        cfg.accessTime = 6;
+        Harness h(cfg);
+        h.instr.push(makeIFetch(0x100, 8, ReqClass::IFetchDemand));
+        h.instr.cancel();
+        h.data.push(makeLoad(0x10, 0));
+        for (Cycle now = 0; now < 12; ++now) {
+            if (now == 3) {
+                h.instr.push(makeIFetch(0x200, 8, ReqClass::IFetchDemand));
+                h.instr.cancel();
+            }
+            if (gated)
+                h.sys.tickGated(now);
+            else
+                h.sys.tick(now);
+        }
+        EXPECT_EQ(h.instr.acceptedCount, 0u);
+        EXPECT_TRUE(h.instr.beats.empty());
+        EXPECT_EQ(h.data.loaded.size(), 1u);
+        EXPECT_TRUE(h.sys.quiescent());
+    }
+}
+
+TEST(MemorySystemTest, PostDuringGatedStretchIsGrantedAsUnderTicking)
+{
+    // A load waits out a slow access; a fetch posted while the gated
+    // memory skips its ticks must be granted on the cycle a ticking
+    // memory grants it, and every counter must agree.
+    for (bool pipelined : {false, true}) {
+        MemSystemConfig cfg;
+        cfg.accessTime = 6;
+        cfg.pipelined = pipelined;
+        Harness ticking(cfg), gated(cfg);
+        StatGroup tickingStats, gatedStats;
+        ticking.sys.regStats(tickingStats, "mem");
+        gated.sys.regStats(gatedStats, "mem");
+        unsigned skipped = 0;
+        for (Harness *h : {&ticking, &gated})
+            h->data.push(makeLoad(0x10, 0));
+        for (Cycle now = 0; now < 24; ++now) {
+            if (now == 3) {
+                for (Harness *h : {&ticking, &gated})
+                    h->instr.push(
+                        makeIFetch(0x100, 8, ReqClass::IFetchDemand));
+                // The post lands inside a stretch the gate skips.
+                EXPECT_GT(skipped, 0u);
+            }
+            ticking.sys.tick(now);
+            skipped += !gated.sys.tickGated(now);
+            EXPECT_EQ(gated.instr.acceptedCount, ticking.instr.acceptedCount)
+                << "cycle " << now;
+            EXPECT_EQ(gated.instr.beats, ticking.instr.beats)
+                << "cycle " << now;
+            EXPECT_EQ(gated.data.loaded, ticking.data.loaded)
+                << "cycle " << now;
+            EXPECT_EQ(gated.sys.demandFetchContended(),
+                      ticking.sys.demandFetchContended())
+                << "cycle " << now;
+        }
+        EXPECT_EQ(ticking.instr.acceptedCount, 1u);
+        EXPECT_EQ(ticking.instr.beats.size(), 2u);
+        EXPECT_EQ(gatedStats.dump(), tickingStats.dump());
+    }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/log.hh"
 
 #include "assembler/assembler.hh"
@@ -26,7 +28,10 @@ struct Harness
     void
     step()
     {
-        unit.tick(now);
+        if (gated)
+            skipped += !unit.tickGated(now);
+        else
+            unit.tick(now);
         sys.tick(now);
         ++now;
     }
@@ -48,6 +53,8 @@ struct Harness
     MemorySystem sys;
     PipeFetchUnit unit;
     Cycle now = 0;
+    bool gated = false;    //!< step() with FetchUnit::tickGated
+    unsigned skipped = 0;  //!< ticks the gate skipped
 };
 
 const char *straightLine = R"(
@@ -328,4 +335,60 @@ TEST(PipeFetch, TakeWithoutReadyPanics)
 {
     Harness h(straightLine, cfg1616());
     EXPECT_THROW(h.unit.take(), PanicError);
+}
+
+TEST(PipeFetch, GatedTickWakesOnABranchResolution)
+{
+    // Behind an unresolved zero-slot branch the unit fills its buffer
+    // with the wrong path and goes idle.  The resolution alone (no
+    // take, no memory callback) must wake a gated unit: it squashes
+    // the buffer and fetches the target on the cycle a ticking unit
+    // does.
+    const char *src = R"(
+        lbr  b0, target
+        pbr  b0, 0, always
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+        add r1, r1, r1
+    target:
+        halt
+    )";
+    Harness ticking(src, cfg1616()), gated(src, cfg1616());
+    gated.gated = true;
+    const auto state = [](const Harness &h) {
+        std::ostringstream os;
+        h.unit.dumpState(os);
+        return os.str();
+    };
+    const auto stepBoth = [&](int cycles) {
+        for (int i = 0; i < cycles; ++i) {
+            ticking.step();
+            gated.step();
+            ASSERT_EQ(state(gated), state(ticking)) << "cycle " << gated.now;
+        }
+    };
+    for (Harness *h : {&ticking, &gated}) {
+        EXPECT_EQ(h->pull().inst.op, Opcode::Lbr);
+        EXPECT_EQ(h->pull().inst.op, Opcode::Pbr);
+    }
+    stepBoth(30);
+    EXPECT_GT(gated.skipped, 0u);
+    for (Harness *h : {&ticking, &gated})
+        h->unit.branchResolved(true, *h->program.symbol("target"));
+    stepBoth(30);
+    for (Harness *h : {&ticking, &gated}) {
+        const auto fi = h->pull();
+        EXPECT_EQ(fi.inst.op, Opcode::Halt);
+        EXPECT_EQ(fi.pc, *h->program.symbol("target"));
+    }
+    EXPECT_EQ(gated.now, ticking.now);
 }

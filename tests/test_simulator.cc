@@ -4,6 +4,8 @@
 #include "common/log.hh"
 
 #include "assembler/assembler.hh"
+#include "replay/capture.hh"
+#include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "workloads/benchmark_program.hh"
 
@@ -97,16 +99,21 @@ TEST(SimulatorTest, DeterministicAcrossRuns)
 
 TEST(SimulatorTest, DeadlockDetected)
 {
-    // A store whose data never arrives wedges the machine; the
-    // progress watchdog must fire rather than spin forever.
+    // Store data whose address never comes wedges the machine: the
+    // ninth r7 write finds the 8-entry SDQ full forever.  The progress
+    // watchdog must fire rather than spin forever.
     const char *src = R"(
         li r1, 0x4000
-        ld [r1 + 0]
-        mov r2, r7
-        mov r2, r7     ; LDQ empty forever
+        mov r7, r1
+        mov r7, r1
+        mov r7, r1
+        mov r7, r1
+        mov r7, r1
+        mov r7, r1
+        mov r7, r1
+        mov r7, r1
+        mov r7, r1     ; SDQ full forever
         halt
-    .data 0x4000
-        .word 1
     )";
     Program p = assembler::assemble(src);
     SimConfig cfg;
@@ -135,6 +142,57 @@ TEST(SimulatorTest, DeadlockDetected)
                   std::string::npos);
         EXPECT_NE(report.find("last retired PCs"), std::string::npos);
     }
+}
+
+TEST(SimulatorTest, LdqDeadlockFailsFast)
+{
+    // Livermore is scheduled for the default 8-entry LDQ (codegen's
+    // ldqWindow 7).  On a 2-entry LDQ issue soon waits on an LDQ slot
+    // or entry no load in flight can supply, which must abort at once,
+    // naming both sizes, rather than at the progress watchdog: at the
+    // same cycle with the same message under run() and step(), on the
+    // cycle engine and under a trace value source.
+    const Program program = workloads::buildLivermoreBenchmark(0.1).program;
+    const replay::Trace trace =
+        replay::captureTrace(SimConfig{}, program, "ldq deadlock test");
+    SimConfig cfg;
+    cfg.fetch = pipeConfigFor("16-16", 128);
+    cfg.cpu.ldqEntries = 2;
+    std::string message;
+    Cycle cycle = 0;
+    for (bool traced : {false, true}) {
+        for (bool stepping : {false, true}) {
+            DataMemory mem;
+            mem.loadProgram(program);
+            Simulator sim(cfg, program, mem, traced ? &trace : nullptr);
+            try {
+                if (stepping) {
+                    while (!sim.done())
+                        sim.step();
+                } else {
+                    sim.run();
+                }
+                ADD_FAILURE() << "expected SimAbort";
+                continue;
+            } catch (const SimAbort &e) {
+                if (message.empty()) {
+                    message = e.what();
+                    cycle = sim.now();
+                }
+                EXPECT_EQ(e.what(), message)
+                    << "traced " << traced << ", stepping " << stepping;
+                EXPECT_EQ(sim.now(), cycle)
+                    << "traced " << traced << ", stepping " << stepping;
+            }
+        }
+    }
+    EXPECT_LT(cycle, 5000u);
+    EXPECT_NE(message.find("deadlocked at cycle " + std::to_string(cycle)),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("cpu.ldqEntries = 2"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("ldqWindow"), std::string::npos) << message;
 }
 
 TEST(SimulatorTest, MaxCyclesEnforced)
