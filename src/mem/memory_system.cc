@@ -313,9 +313,9 @@ MemorySystem::acceptOutputBus(Cycle now)
     // Presentation order: data, then the fetch unit's request, unless
     // that is a demand fetch and instructions have priority.
     std::array<MemClient *, 2> order{_dataClient, _instrClient};
-    if (_config.instructionPriority && _instrClient &&
-        _instrClient->request() &&
-        _instrClient->request()->cls == ReqClass::IFetchDemand)
+    const MemRequest *instr = _instrClient ? _instrClient->request() : nullptr;
+    if (_config.instructionPriority && instr &&
+        instr->cls == ReqClass::IFetchDemand)
         std::swap(order[0], order[1]);
 
     for (std::size_t i = 0; i < order.size(); ++i) {
