@@ -7,19 +7,19 @@
  *     --csv         CSV output instead of aligned text
  * plus the standard flags registered by registerStandardFlags()
  * (sim/standard_flags.hh).  The sweep benches take every group:
- * observability, fault injection, sweep control (--jobs, --obs-point,
- * --fi-point, --fail-fast, --store-dir, --point-deadline-ms) and
- * engine selection (--engine cycle|trace with --trace-file /
- * --sample-*).  They print one table per figure panel with the same
- * axes the paper uses (total execution cycles vs. cache size, one
- * column per fetch strategy).  Failed points render "ERR" and are
- * reported after the table (see docs/robustness.md); under --engine
- * trace the sweep replays one capture of the workload instead of
- * cycle-simulating every point (see docs/trace_replay.md).
+ * observability, sweep control (--jobs, --obs-point, --fail-fast,
+ * --progress, --progress-window) and engine selection (--engine
+ * cycle|trace with --trace-file / --sample-*).  They print one table
+ * per figure panel with the same axes the paper uses (total execution
+ * cycles vs. cache size, one column per fetch strategy).  Failed
+ * points render "ERR" and are reported after the table (see
+ * docs/robustness.md); under --engine trace the sweep replays one
+ * capture of the workload instead of cycle-simulating every point
+ * (see docs/trace_replay.md).
  *
  * Benches that run single simulations register neither the sweep nor
- * the engine group, and refuse fault injection and observability
- * outputs, which only the sweep applies.
+ * the engine group, and refuse the observability outputs, which only
+ * the sweep applies.
  */
 
 #ifndef PIPESIM_BENCH_COMMON_HH
@@ -53,9 +53,8 @@ struct BenchSetup
 
 /**
  * Parse standard options and build the workload.  Single-run benches
- * pass @p groups {false, false}; they then reject --fi-* and the
- * observability outputs with a FatalError.  @return nullopt on
- * --help.
+ * pass @p groups {false, false}; they then reject the observability
+ * outputs with a FatalError.  @return nullopt on --help.
  */
 inline std::optional<BenchSetup>
 setup(int argc, char **argv, const std::string &description,
@@ -73,17 +72,17 @@ setup(int argc, char **argv, const std::string &description,
     s.scale = cli.getDouble("scale");
     s.csv = cli.getFlag("csv");
     s.flags = standardFlagsFromCli(cli, groups);
-    if (!groups.sweep && (s.flags.fault.enabled() || s.flags.obs.any()))
-        fatal("this bench runs single simulations: fault injection "
-              "(--fi-*) and the observability outputs (--cpi-stack/"
-              "--trace-json/--stats-json) apply only to sweep benches");
+    if (!groups.sweep && s.flags.obs.any())
+        fatal("this bench runs single simulations: the observability "
+              "outputs (--cpi-stack/--trace-json/--stats-json) apply "
+              "only to sweep benches");
     s.benchmark = workloads::buildLivermoreBenchmark(s.scale);
     return s;
 }
 
 /**
  * Apply the standard flags to @p spec (applyStandardFlags(): worker
- * count, fault/failure policy, engine, observability hooks) and, for
+ * count, failure policy, engine, observability hooks) and, for
  * --engine trace, capture or load the workload trace once and point
  * the spec at it.  Benches default to collect-and-continue so a
  * wedged point still yields every healthy cell plus a failure report.

@@ -33,10 +33,6 @@ using namespace pipesim;
 namespace
 {
 
-/** Standard flags (fault injection, profiling) applied to every BM_
- *  body; filled by main() before RunSpecifiedBenchmarks. */
-StandardFlags g_flags;
-
 const workloads::Benchmark &
 smallBench()
 {
@@ -60,7 +56,6 @@ simulateRaw(benchmark::State &state, const FetchConfig &fetch)
     cfg.fetch = fetch;
     cfg.mem.accessTime = unsigned(state.range(0));
     cfg.cpiStack = false; // raw rate: no accounting, no listener
-    cfg.fault = g_flags.fault;
     std::uint64_t cycles = 0, ticks = 0, fetchTicks = 0, memTicks = 0;
     std::uint64_t clock = 0;
     for (auto _ : state) {
@@ -102,7 +97,6 @@ BM_SimulatePipeCpiStack(benchmark::State &state)
     cfg.fetch = pipeConfigFor("16-16", 128);
     cfg.mem.accessTime = unsigned(state.range(0));
     cfg.cpiStack = true; // the default: cycle accounting on
-    cfg.fault = g_flags.fault;
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         const auto res = runSimulation(cfg, smallBench().program);
@@ -157,7 +151,6 @@ BM_SweepThroughput(benchmark::State &state)
 {
     SweepSpec spec;
     spec.jobs = unsigned(state.range(0));
-    spec.fault = g_flags.fault;
     spec.mem.accessTime = 6;
     spec.mem.busWidthBytes = 8;
     unsigned valid = 0;
@@ -254,8 +247,8 @@ class CapturingReporter : public benchmark::ConsoleReporter
 
 } // namespace
 
-// Guarded main on the standard flag surface: pipesim options (fault
-// injection, host profiling, --bench-json) parse through CliParser,
+// Guarded main on the standard flag surface: pipesim options (host
+// profiling, --bench-json) parse through CliParser,
 // while --benchmark_* arguments pass through to google-benchmark.
 int
 main(int argc, char **argv)
@@ -281,8 +274,7 @@ main(int argc, char **argv)
                       "document to this file");
         if (!cli.parse(int(ourArgs.size()), ourArgs.data()))
             return 0;
-        g_flags = standardFlagsFromCli(cli, {false, false});
-        if (g_flags.obs.any())
+        if (standardFlagsFromCli(cli, {false, false}).obs.any())
             warn("--cpi-stack/--trace-json/--stats-json have no effect "
                  "here: the microbenchmarks run thousands of "
                  "simulations; use an example or figure bench for "
@@ -298,8 +290,6 @@ main(int argc, char **argv)
         obs::BenchReport report;
         report.tool = "micro_simspeed";
         report.config["workload"] = "livermore";
-        report.config["fault_kinds"] =
-            g_flags.fault.enabled() ? "enabled" : "none";
         CapturingReporter reporter(report);
         benchmark::RunSpecifiedBenchmarks(&reporter);
         benchmark::Shutdown();

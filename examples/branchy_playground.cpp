@@ -38,7 +38,7 @@ run(int argc, char **argv)
     cli.addOption("iterations", "128", "outer loop trips");
     cli.addOption("mem", "6", "memory access time");
     cli.addOption("bus", "8", "bus width bytes");
-    // Single run: no sweep/engine groups, just obs + fault.
+    // Single run: no sweep/engine groups, just obs + profiling.
     const StandardFlagGroups groups{false, false};
     registerStandardFlags(cli, groups);
     if (!cli.parse(argc, argv))
@@ -66,7 +66,6 @@ run(int argc, char **argv)
         cfg.fetch = pipeConfigFor(strategy, cache);
     cfg.mem.accessTime = unsigned(cli.getInt("mem"));
     cfg.mem.busWidthBytes = unsigned(cli.getInt("bus"));
-    cfg.fault = flags.fault;
 
     Simulator sim(cfg, built.program);
     obs::ObsSession obs_session(flags.obs, sim);

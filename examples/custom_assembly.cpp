@@ -65,7 +65,7 @@ run(int argc, char **argv)
     cli.addOption("mem", "1", "memory access time");
     cli.addFlag("trace", "print every retired instruction");
     cli.addFlag("list", "print the assembled program and exit");
-    // Single run: no sweep/engine groups, just obs + fault.
+    // Single run: no sweep/engine groups, just obs + profiling.
     const StandardFlagGroups groups{false, false};
     registerStandardFlags(cli, groups);
     if (!cli.parse(argc, argv))
@@ -93,7 +93,6 @@ run(int argc, char **argv)
                     : pipeConfigFor(strategy,
                                     unsigned(cli.getInt("cache")));
     cfg.mem.accessTime = unsigned(cli.getInt("mem"));
-    cfg.fault = flags.fault;
 
     Simulator sim(cfg, program);
     obs::ObsSession obs_session(flags.obs, sim);

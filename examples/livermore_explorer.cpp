@@ -38,7 +38,7 @@ run(int argc, char **argv)
     cli.addFlag("pipelined", "pipelined external memory");
     cli.addFlag("data-priority", "data beats demand I-fetch");
     cli.addFlag("timeline", "print a cycle-by-cycle issue timeline");
-    // Single run: no sweep/engine groups, just obs + fault.
+    // Single run: no sweep/engine groups, just obs + profiling.
     const StandardFlagGroups groups{false, false};
     registerStandardFlags(cli, groups);
     if (!cli.parse(argc, argv))
@@ -61,7 +61,6 @@ run(int argc, char **argv)
     cfg.mem.busWidthBytes = unsigned(cli.getInt("bus"));
     cfg.mem.pipelined = cli.getFlag("pipelined");
     cfg.mem.instructionPriority = !cli.getFlag("data-priority");
-    cfg.fault = flags.fault;
 
     std::cout << "kernel " << kernel.id << " (" << kernel.name << "): "
               << kernel.tripCount << " iterations, inner loop "

@@ -30,7 +30,7 @@ run(int argc, char **argv)
     cli.addOption("mem", "6", "memory access time in cycles");
     cli.addOption("bus", "8", "input bus width in bytes (4 or 8)");
     cli.addOption("scale", "0.2", "workload scale (1.0 = paper size)");
-    // Single run: no sweep/engine groups, just obs + fault.
+    // Single run: no sweep/engine groups, just obs + profiling.
     const StandardFlagGroups groups{false, false};
     registerStandardFlags(cli, groups);
     if (!cli.parse(argc, argv))
@@ -49,7 +49,6 @@ run(int argc, char **argv)
         SimConfig cfg;
         cfg.mem.accessTime = unsigned(cli.getInt("mem"));
         cfg.mem.busWidthBytes = unsigned(cli.getInt("bus"));
-        cfg.fault = flags.fault;
         cfg.fetch =
             std::string(strategy) == "conv"
                 ? conventionalConfigFor(unsigned(cli.getInt("cache")))

@@ -3,7 +3,7 @@
  * configurable machine and print the figure-style table — a
  * generalisation of the paper's Figures 4-6 to any parameter point.
  * Accepts the standard flag groups (sim/standard_flags.hh), so the
- * sweep composes with --jobs, fault injection, the observability
+ * sweep composes with --jobs, the observability
  * outputs and --engine trace.
  *
  *     ./strategy_shootout --mem 6 --bus 8 --pipelined --scale 0.3

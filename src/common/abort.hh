@@ -4,8 +4,8 @@
  * snapshot it carries.
  *
  * SimAbort completes the error taxonomy documented in common/log.hh:
- * the *simulated machine* wedged (deadlock, runaway, unrecoverable
- * injected fault) while the simulator itself is healthy.  It is
+ * the *simulated machine* wedged (deadlock, cycle-limit runaway)
+ * while the simulator itself is healthy.  It is
  * neither a user error (FatalError) nor a simulator bug (PanicError),
  * so tools can keep going -- a sweep records the failed point and
  * finishes its healthy cells.
@@ -54,7 +54,7 @@ struct MachineSnapshot
 
 /**
  * Exception raised by simAbort(): the simulated machine cannot make
- * progress (deadlock, cycle-limit runaway, exhausted fault retries).
+ * progress (deadlock, cycle-limit runaway).
  */
 class SimAbort : public std::runtime_error
 {
@@ -79,21 +79,6 @@ class SimAbort : public std::runtime_error
 
   private:
     std::shared_ptr<const MachineSnapshot> _snapshot;
-};
-
-/**
- * A SimAbort flavour for host-side wall-clock deadlines: the point's
- * cooperative cancellation flag (SimConfig::cancelFlag, set by the
- * sweep engine's deadline watchdog) was observed in the tick loop.
- * The simulated machine may be perfectly healthy — it was just too
- * slow for the budget — so the sweep dispositions it separately as
- * ERR(timeout) (PointFailure::timeout) while everything downstream
- * of SimAbort (snapshot attachment, guard exit code) works unchanged.
- */
-class TimeoutAbort : public SimAbort
-{
-  public:
-    using SimAbort::SimAbort;
 };
 
 /**

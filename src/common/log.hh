@@ -11,8 +11,8 @@
  *
  * A third failure class lives in common/abort.hh:
  *  - simAbort(): the *simulated machine* wedged (deadlock, cycle
- *              runaway, unrecoverable injected fault) -- neither a
- *              user error nor a simulator bug.  SimAbort carries a
+ *              runaway) -- neither a user error nor a simulator
+ *              bug.  SimAbort carries a
  *              MachineSnapshot for post-mortem reports; see
  *              docs/robustness.md for the full taxonomy.
  *

@@ -38,7 +38,6 @@ ConventionalFetchUnit::ConventionalFetchUnit(const FetchConfig &config,
         fatal("conventional cache needs at least two frames for the "
               "compact instruction format (cache ",
               config.cacheBytes, " B, line ", _cache.lineBytes(), " B)");
-    _parityRetryLimit = config.parityRetryLimit;
     reset(program.entry());
 }
 
@@ -93,16 +92,6 @@ ConventionalFetchUnit::fillComplete(const MemRequest &)
             _obsNow, _outstandingAddr, _outstandingBytes, false});
     }
     _outstanding = false;
-    noteGoodFill();
-}
-
-void
-ConventionalFetchUnit::fillParityError(const MemRequest &)
-{
-    // No beats were delivered, so the region's sub-blocks are still
-    // invalid; the demand/prefetch paths simply re-request.
-    _outstanding = false;
-    noteParityError(_outstandingAddr, _outstandingBytes);
 }
 
 void
@@ -247,8 +236,6 @@ ConventionalFetchUnit::dumpState(std::ostream &os) const
     if (_prefetchAddr)
         os << "  pending prefetch target: 0x" << std::hex
            << *_prefetchAddr << std::dec << "\n";
-    os << "  consecutive parity errors: " << _consecutiveParityErrors
-       << "\n";
     os.flags(flags);
 }
 
@@ -303,7 +290,6 @@ ConventionalFetchUnit::regStats(StatGroup &stats, const std::string &prefix)
                      "demand fetch requests issued");
     stats.regCounter(prefix + ".prefetch_fetches", &_prefetchFetches,
                      "always-prefetch requests issued");
-    regParityStats(stats, prefix);
     _cache.regStats(stats, prefix + ".icache");
 }
 

@@ -58,7 +58,6 @@ class ConventionalFetchUnit : public FetchUnit
     void offchipAccepted(const MemRequest &req) override;
     void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
     void fillComplete(const MemRequest &req) override;
-    void fillParityError(const MemRequest &req) override;
 
   private:
     /** First sub-block of [addr, addr+bytes) missing from the cache. */

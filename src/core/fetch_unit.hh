@@ -75,15 +75,6 @@ struct FetchConfig
      * which is the premise the paper builds on.
      */
     bool alwaysPrefetch = true;
-
-    /**
-     * Consecutive instruction-fill parity errors (fault injection;
-     * see docs/robustness.md) tolerated before the unit declares the
-     * machine wedged with a SimAbort.  Each erroring fill is simply
-     * retried: a corrupted transfer delivers no bytes, so the
-     * allocated line stays invalid and the demand path re-requests it.
-     */
-    unsigned parityRetryLimit = 4;
 };
 
 class FetchUnit : public MemClient
@@ -237,13 +228,6 @@ class FetchUnit : public MemClient
         fillComplete(req);
     }
 
-    void
-    parityError(const MemRequest &req) final
-    {
-        _touched = true;
-        fillParityError(req);
-    }
-
   protected:
     /** reset() after the base has withdrawn the posted request. */
     virtual void resetUnit(Addr entry) = 0;
@@ -266,13 +250,6 @@ class FetchUnit : public MemClient
 
     /** The in-flight fill @p req delivered its last beat. */
     virtual void fillComplete(const MemRequest &req) = 0;
-
-    /**
-     * The in-flight fill @p req was corrupted (see
-     * MemClient::parityError): roll back the fill state so the fetch
-     * is retried, then call noteParityError().
-     */
-    virtual void fillParityError(const MemRequest &req) = 0;
 
     /**
      * The instruction at @p addr, decoded from the program image the
@@ -298,20 +275,6 @@ class FetchUnit : public MemClient
     {
         return decodeAt(addr).sizeBytes();
     }
-
-    /**
-     * An instruction fill ended in an injected parity error.  The
-     * caller has already rolled back its fill state so the fetch is
-     * retried from scratch; this counts the retry and raises SimAbort
-     * once parityRetryLimit consecutive fills have failed.
-     */
-    void noteParityError(Addr addr, unsigned bytes);
-
-    /** A fill completed cleanly: reset the consecutive-error run. */
-    void noteGoodFill() { _consecutiveParityErrors = 0; }
-
-    /** Register the shared parity-retry counter under @p prefix. */
-    void regParityStats(StatGroup &stats, const std::string &prefix);
 
     /** Every tick() starts here. */
     void
@@ -351,19 +314,12 @@ class FetchUnit : public MemClient
     /** Serialize the base-class state shared by every strategy. */
     void saveBaseState(StateWriter &w) const
     {
-        w.u32(_parityRetryLimit);
-        w.u32(_consecutiveParityErrors);
-        w.count(_parityRetries.value());
         // Only stamps probe events: never compared with the clock.
         w.stamp(_obsNow);
     }
 
     void restoreBaseState(StateReader &r)
     {
-        if (r.u32() != _parityRetryLimit)
-            r.fail("parity retry limit mismatch");
-        _consecutiveParityErrors = r.u32();
-        _parityRetries.set(r.u64());
         _obsNow = r.u64();
     }
 
@@ -387,10 +343,6 @@ class FetchUnit : public MemClient
 
     MemorySystem &_mem;
     obs::ProbeBus *_probes = nullptr;
-    /** See FetchConfig::parityRetryLimit (subclasses copy it here). */
-    unsigned _parityRetryLimit = 4;
-    unsigned _consecutiveParityErrors = 0;
-    Counter _parityRetries;
     /**
      * Cycle of the most recent tick().  Acceptances and fill responses
      * arrive from the memory system's tick, which runs after the fetch

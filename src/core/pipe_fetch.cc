@@ -14,7 +14,6 @@ PipeFetchUnit::PipeFetchUnit(const FetchConfig &config,
       _cache(config.cacheBytes, config.lineBytes),
       _capacity(config.iqBytes + config.iqbBytes)
 {
-    _parityRetryLimit = config.parityRetryLimit;
     if (config.iqBytes < 2 * parcelBytes)
         fatal("IQ must hold at least one two-parcel instruction");
     if (config.iqbBytes < config.lineBytes)
@@ -286,25 +285,6 @@ PipeFetchUnit::startFillIfNeeded()
 }
 
 void
-PipeFetchUnit::fillParityError(const MemRequest &)
-{
-    // A corrupted transfer delivered no beats, so nothing was
-    // appended and the allocated line is still invalid: dropping the
-    // fill makes the next tick re-plan and re-request it.
-    PIPESIM_ASSERT(_fill && _fill->offchip,
-                   "parity error with no off-chip fill active");
-    const Addr line = _fill->lineBase;
-    const bool dead = _fill->dead;
-    if (_fill->newSegment && _follower.hasPending() &&
-        _follower.frontId() == _targetPlannedId)
-        _targetPlannedId = std::uint64_t(-1);
-    _offchipInFlight = false;
-    _fill.reset();
-    if (!dead)
-        noteParityError(line, _cfg.lineBytes);
-}
-
-void
 PipeFetchUnit::performCacheFill()
 {
     PIPESIM_ASSERT(_fill && !_fill->offchip, "no cache fill in progress");
@@ -350,7 +330,6 @@ PipeFetchUnit::fillComplete(const MemRequest &)
     }
     _offchipInFlight = false;
     _fill.reset();
-    noteGoodFill();
 }
 
 void
@@ -431,7 +410,6 @@ PipeFetchUnit::dumpState(std::ostream &os) const
            << reqClassName(req->cls) << ")\n";
     }
     os << "  off-chip in flight: " << (_offchipInFlight ? "yes" : "no")
-       << ", consecutive parity errors: " << _consecutiveParityErrors
        << "\n";
     os.flags(flags);
 }
@@ -524,7 +502,6 @@ PipeFetchUnit::regStats(StatGroup &stats, const std::string &prefix)
     stats.regCounter(prefix + ".blocked_on_guarantee",
                      &_blockedOnGuarantee,
                      "fill opportunities blocked by the guarantee policy");
-    regParityStats(stats, prefix);
     _cache.regStats(stats, prefix + ".icache");
 }
 

@@ -70,7 +70,6 @@ class PipeFetchUnit : public FetchUnit
     void offchipAccepted(const MemRequest &req) override;
     void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
     void fillComplete(const MemRequest &req) override;
-    void fillParityError(const MemRequest &req) override;
 
   private:
     /** A contiguous run of buffered stream bytes. */

@@ -21,7 +21,6 @@ TibFetchUnit::TibFetchUnit(const FetchConfig &config,
         fatal("TIB capacity must be a multiple of the entry size");
     if (_bufferCapacity < 2 * _entryBytes)
         fatal("TIB stream buffer must hold two entries' worth");
-    _parityRetryLimit = config.parityRetryLimit;
     _entries.resize(config.cacheBytes / _entryBytes);
     reset(program.entry());
 }
@@ -166,7 +165,6 @@ TibFetchUnit::startFetchIfNeeded()
     Addr start = tailEnd();
     std::optional<Addr> fill_target;
     Addr cap = Addr(-1);
-    bool retargeted = false;
 
     if (_follower.hasPending() && _follower.frontResolved() &&
         _follower.frontTaken() &&
@@ -176,7 +174,6 @@ TibFetchUnit::startFetchIfNeeded()
         if (start >= r) {
             start = _follower.frontTarget();
             _targetPlannedId = _follower.frontId();
-            retargeted = true;
         } else {
             cap = r; // pre-target sequential fetch toward the slots
         }
@@ -215,7 +212,6 @@ TibFetchUnit::startFetchIfNeeded()
     f.nextByte = start;
     f.end = std::min<Addr>(start + _entryBytes, cap);
     f.fillTibTarget = fill_target;
-    f.retargeted = retargeted;
     _fetch = f;
 
     MemRequest req;
@@ -237,30 +233,6 @@ TibFetchUnit::fillComplete(const MemRequest &req)
             obs::FetchEvent{_obsNow, req.addr, _entryBytes, false});
     _offchipInFlight = false;
     _fetch.reset();
-    noteGoodFill();
-}
-
-void
-TibFetchUnit::fillParityError(const MemRequest &req)
-{
-    // Nothing was appended (no beats); undo the planning side effects
-    // so the next tick re-plans the identical fetch.  A TIB-miss fetch
-    // popped its pending target and left the entry with zero valid
-    // bytes -- restoring the target makes the retry take the same
-    // miss path and refill the entry.
-    PIPESIM_ASSERT(_fetch, "parity error with no fetch active");
-    const bool dead = _fetch->dead;
-    const bool retargeted = _fetch->retargeted;
-    const bool was_tib = _fetch->fillTibTarget.has_value();
-    _offchipInFlight = false;
-    _fetch.reset();
-    if (dead)
-        return;
-    if (retargeted)
-        _targetPlannedId = std::uint64_t(-1);
-    if (was_tib)
-        _pendingTargets.push_front(req.addr);
-    noteParityError(req.addr, _entryBytes);
 }
 
 void
@@ -364,7 +336,6 @@ TibFetchUnit::dumpState(std::ostream &os) const
     }
     os << "  pending branch targets: " << _pendingTargets.size()
        << ", off-chip in flight: " << (_offchipInFlight ? "yes" : "no")
-       << ", consecutive parity errors: " << _consecutiveParityErrors
        << "\n";
     os.flags(flags);
 }
@@ -394,7 +365,6 @@ TibFetchUnit::saveState(StateWriter &w) const
         w.b(_fetch->fillTibTarget.has_value());
         if (_fetch->fillTibTarget)
             w.u32(*_fetch->fillTibTarget);
-        w.b(_fetch->retargeted);
     }
     saveRequest(w);
     w.b(_offchipInFlight);
@@ -439,7 +409,6 @@ TibFetchUnit::restoreUnit(StateReader &r)
         f.dead = r.b();
         if (r.b())
             f.fillTibTarget = r.u32();
-        f.retargeted = r.b();
         _fetch = f;
     }
     restoreRequest(r);
@@ -470,7 +439,6 @@ TibFetchUnit::regStats(StatGroup &stats, const std::string &prefix)
                      "off-chip fetch requests issued");
     stats.regCounter(prefix + ".squashed_bytes", &_squashedBytes,
                      "buffered bytes squashed by taken branches");
-    regParityStats(stats, prefix);
 }
 
 } // namespace pipesim

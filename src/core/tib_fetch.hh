@@ -67,7 +67,6 @@ class TibFetchUnit : public FetchUnit
     void offchipAccepted(const MemRequest &req) override;
     void fillBeat(const MemRequest &req, Addr addr, unsigned bytes) override;
     void fillComplete(const MemRequest &req) override;
-    void fillParityError(const MemRequest &req) override;
 
   private:
     struct TibEntry
@@ -112,9 +111,6 @@ class TibFetchUnit : public FetchUnit
         bool dead = false;   //!< squashed by a taken branch
         /** Fill this TIB entry (by target) as bytes arrive. */
         std::optional<Addr> fillTibTarget;
-        /** This fetch planned the front redirect's target (set
-         *  _targetPlannedId); a parity retry must re-plan it. */
-        bool retargeted = false;
     };
     std::optional<Fetch> _fetch;
     bool _offchipInFlight = false;

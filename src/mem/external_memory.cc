@@ -29,9 +29,7 @@ ExternalMemory::accept(const MemRequest &req, Cycle now)
         ++_writes;
     else
         ++_reads;
-    // extraLatency is the injected response jitter (0 normally).
-    const Cycle ready = now + _accessTime + req.extraLatency;
-    _inflight.push_back(InFlight{req, ready});
+    _inflight.push_back(InFlight{req, now + _accessTime});
 }
 
 bool

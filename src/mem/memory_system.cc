@@ -6,7 +6,6 @@
 
 #include "common/bitutil.hh"
 #include "common/log.hh"
-#include "fault/fault.hh"
 
 namespace pipesim
 {
@@ -178,12 +177,6 @@ MemorySystem::selectTransfer(Cycle now)
         t.fromExtMem = true;
         t.value = t.req.loadData;
         _extMem.setTransferring(true);
-        // Fill parity injection: only instruction fills are exposed,
-        // and the decision is made here, before the first beat, so
-        // corrupt data never propagates.
-        if (_faults && t.req.cls != ReqClass::Data &&
-            _faults->corruptFill())
-            t.corrupted = true;
     } else {
         t.req = *fpu_ready->req;
         t.fromExtMem = false;
@@ -204,27 +197,17 @@ MemorySystem::deliverBeat(Cycle now)
     const unsigned beat = std::min(_config.busWidthBytes, t.bytesLeft);
     ++_beatsDelivered;
     ++_inputBusBusyCycles;
-    // A corrupted transfer occupies the bus for its full duration but
-    // delivers nothing: the parity error is detected per beat.
-    if (!t.corrupted)
-        owner(t.req).beat(t.req, t.nextAddr, beat);
+    owner(t.req).beat(t.req, t.nextAddr, beat);
     t.nextAddr += beat;
     t.bytesLeft -= beat;
     if (t.bytesLeft == 0) {
-        // Retire the transfer before delivering the end of transfer:
-        // the owner may throw (parity retry exhaustion raises
-        // SimAbort), and the bus must look consistent in the
-        // post-mortem snapshot.
+        // Retire the transfer before handing the response back.
         const MemRequest req = t.req;
-        const bool corrupted = t.corrupted;
         const Word value = t.value;
         if (t.fromExtMem)
             _extMem.setTransferring(false);
         _transfer.reset();
-        if (corrupted)
-            owner(req).parityError(req);
-        else
-            finish(req, value);
+        finish(req, value);
     }
 }
 
@@ -243,15 +226,6 @@ bool
 MemorySystem::tryAccept(MemClient &client, Cycle now)
 {
     const MemRequest *posted = client.request();
-
-    // Injected arbitration fault: withhold the grant this cycle.  The
-    // client retries next cycle exactly as it would after losing real
-    // arbitration, so this only stretches timing (rate 1.0 starves
-    // the bus outright -- a clean way to force a deadlock).
-    if (_faults && _faults->delayGrant()) {
-        noteContention(now, posted->cls);
-        return false;
-    }
 
     const bool to_fpu = FpuDevice::contains(posted->addr);
     if (!to_fpu && !_extMem.canAccept()) {
@@ -299,10 +273,6 @@ MemorySystem::tryAccept(MemClient &client, Cycle now)
                           wordBytes);
         }
     }
-    // Injected response jitter (0 when no injector or the roll
-    // misses); the external memory adds it to the ready time.
-    if (_faults)
-        req.extraLatency = _faults->responseJitter();
     _extMem.accept(req, now);
     return true;
 }
@@ -345,8 +315,7 @@ MemorySystem::dumpState(std::ostream &os) const
         os << "input bus: " << (t.req.isStore ? "store"
                                               : reqClassName(t.req.cls))
            << " transfer, next addr 0x" << std::hex << t.nextAddr
-           << std::dec << ", " << t.bytesLeft << " B left"
-           << (t.corrupted ? " [parity corrupted]" : "") << "\n";
+           << std::dec << ", " << t.bytesLeft << " B left\n";
     } else {
         os << "input bus: idle\n";
     }
@@ -382,7 +351,6 @@ MemorySystem::saveState(StateWriter &w) const
         w.u32(t.bytesLeft);
         w.b(t.fromExtMem);
         w.dataWord(t.value);
-        w.b(t.corrupted);
     }
     w.b(_dcache.has_value());
     if (_dcache)
@@ -421,7 +389,6 @@ MemorySystem::restoreState(StateReader &r)
         t.bytesLeft = r.u32();
         t.fromExtMem = r.b();
         t.value = r.u32();
-        t.corrupted = r.b();
         _transfer = std::move(t);
     }
     if (r.b() != _dcache.has_value())

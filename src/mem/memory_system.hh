@@ -37,11 +37,6 @@
 namespace pipesim
 {
 
-namespace fault
-{
-class FaultInjector;
-} // namespace fault
-
 /** Memory-side configuration (paper simulation parameters 4-6). */
 struct MemSystemConfig
 {
@@ -93,16 +88,6 @@ class MemorySystem
      */
     void setProbes(obs::ProbeBus *probes) { _probes = probes; }
 
-    /**
-     * Attach a fault injector (fault/fault.hh): bus grants may be
-     * delayed, responses jittered, and instruction fills corrupted.
-     * Pass nullptr (the default) for fault-free operation.
-     */
-    void setFaultInjector(fault::FaultInjector *injector)
-    {
-        _faults = injector;
-    }
-
     /** Advance one cycle. */
     void tick(Cycle now);
 
@@ -110,8 +95,7 @@ class MemorySystem
      * Tick gating (see Simulator): tick(@p now), unless the last tick
      * was idle, no client slot changed since, and @p now is before
      * that tick's next event; then account @p now as one more repeat
-     * of it.  Exact only when nothing draws from a random stream or
-     * listens on a probe per cycle.
+     * of it.  Exact only when nothing listens on a probe per cycle.
      * @return true if the tick ran.
      */
     bool
@@ -152,8 +136,8 @@ class MemorySystem
 
     /**
      * True if a demand instruction fetch was presented this cycle and
-     * not granted: a fault-delayed grant, an external-memory refusal,
-     * or a loss to a higher-priority grant.  Reset by every tick();
+     * not granted: an external-memory refusal or a loss to a
+     * higher-priority grant.  Reset by every tick();
      * the CPI stack reads it to tell bus contention from fetch starve.
      */
     bool demandFetchContended() const { return _demandFetchContended; }
@@ -194,13 +178,6 @@ class MemorySystem
         unsigned bytesLeft;
         bool fromExtMem;
         Word value; //!< data-load value to hand to loadData()
-        /**
-         * Injected fill parity error: the bus stays occupied for the
-         * usual beats, but no beat is delivered and parityError()
-         * replaces complete() at the end (decided once, at transfer
-         * selection, so not a single corrupt byte is ever delivered).
-         */
-        bool corrupted = false;
     };
 
     // Each per-tick step returns true if it changed any state.
@@ -246,7 +223,6 @@ class MemorySystem
     MemClient *_dataClient = nullptr;
     MemClient *_instrClient = nullptr;
     obs::ProbeBus *_probes = nullptr;
-    fault::FaultInjector *_faults = nullptr;
 
     std::optional<Transfer> _transfer;
     bool _demandFetchContended = false;

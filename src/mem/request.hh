@@ -56,12 +56,6 @@ struct MemRequest
      */
     std::uint64_t dataSeq = 0;
 
-    /**
-     * Extra response latency added by fault injection (set by the
-     * memory system at acceptance; 0 when injection is off).
-     */
-    unsigned extraLatency = 0;
-
     /** Load value captured at acceptance (memory system internal). */
     Word loadData = 0;
 
@@ -91,7 +85,6 @@ saveMemRequest(StateWriter &w, const MemRequest &req,
         w.seq(req.dataSeq, dataSeqBase);
     else
         w.u64(req.dataSeq);
-    w.u32(req.extraLatency);
     w.dataWord(req.loadData);
 }
 
@@ -109,7 +102,6 @@ restoreMemRequest(StateReader &r)
         r.fail("request class holds ", unsigned(cls));
     req.cls = ReqClass(cls);
     req.dataSeq = r.u64();
-    req.extraLatency = r.u32();
     req.loadData = r.u32();
     return req;
 }
@@ -167,15 +159,6 @@ class MemClient
 
     /** The request's response finished (after its final beat). */
     virtual void complete(const MemRequest &) {}
-
-    /**
-     * Instruction fills only: the transfer was corrupted (an injected
-     * fill parity error).  Delivered at end-of-transfer *instead of*
-     * complete(); no beat() is delivered for a corrupted transfer, so
-     * no corrupt byte ever reaches a cache or the decoder.  The fetch
-     * unit is expected to discard its fill state and retry.
-     */
-    virtual void parityError(const MemRequest &) {}
 
   protected:
     /** Present @p req from now on, replacing any posted request. */

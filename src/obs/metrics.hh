@@ -15,11 +15,7 @@
  * The key-set contract: code paths must *touch* (get-or-create) the
  * metrics they may emit before diverging on worker count, so the
  * exported key set is identical for --jobs 1 and --jobs 8 even when
- * the values differ (tests/test_experiment.cc relies on this).  The
- * sweep's robustness metrics honour it too: store.hits/store.misses/
- * store.recovered (the crash-safe result store, src/store/) and
- * point.timeouts (--point-deadline-ms cancellations) are pre-created
- * for every sweep, store-backed or not.
+ * the values differ (tests/test_experiment.cc relies on this).
  */
 
 #ifndef PIPESIM_OBS_METRICS_HH

@@ -135,7 +135,6 @@ configSha256(const SimConfig &config)
     w.u32(config.fetch.iqbBytes);
     w.u32(std::uint32_t(config.fetch.offchipPolicy));
     w.b(config.fetch.alwaysPrefetch);
-    w.u32(config.fetch.parityRetryLimit);
     w.u32(config.mem.accessTime);
     w.u32(config.mem.busWidthBytes);
     w.b(config.mem.pipelined);

@@ -54,9 +54,11 @@ namespace pipesim::replay
  * and the CPI stack's components to version 1's replay-machine state.
  * Version 3 adds the queue-occupancy histograms, open runs included.
  * Version 4 stores the retired-PC ring oldest first instead of in
- * storage order.
+ * storage order.  Version 5 drops the fetch units' parity-retry
+ * fields, the memory requests' extra latency, the input-bus
+ * transfer's corruption flag and the TIB fetch's retarget flag.
  */
-inline constexpr std::uint32_t checkpointFormatVersion = 4;
+inline constexpr std::uint32_t checkpointFormatVersion = 5;
 
 /** Checkpoint identity: the cache key plus provenance. */
 struct CheckpointMeta

@@ -22,26 +22,20 @@
 namespace pipesim::replay
 {
 
-// Cancellation note: every replayed machine is a Simulator driven by
+// Interruption note: every replayed machine is a Simulator driven by
 // Simulator::runUntil, whose per-cycle watchdog check — in addition
-// to the simulated-time watchdogs — polls the sweep's per-point
-// cancel flag (SimConfig::cancelFlag, throwing TimeoutAbort) and the
-// guard's shutdown flag (throwing InterruptedError).  Under the
-// pooled window passes those exceptions are captured in each window's
-// std::future and rethrown at the plan-order collection point, so a
-// deadline or a SIGINT never strands a worker mid-window.
+// to the simulated-time watchdogs — polls the guard's shutdown flag
+// (throwing InterruptedError).  Under the pooled window passes that
+// exception is captured in each window's std::future and rethrown at
+// the plan-order collection point, so a SIGINT never strands a worker
+// mid-window.
 
 namespace
 {
 
 void
-checkReplayable(const SimConfig &config, const Program &program,
-                const Trace &trace)
+checkReplayable(const Program &program, const Trace &trace)
 {
-    if (config.fault.enabled())
-        fatal("trace replay cannot inject faults: a fault changes the "
-              "timing the trace was captured without; use the cycle "
-              "engine for fault experiments");
     const std::string hash = programSha256(program);
     if (hash != trace.meta.programSha256)
         fatal("trace was captured from a different program: trace "
@@ -146,7 +140,7 @@ runMeasure(Simulator &m, const SampleWindow &win, bool prof,
  * else as independent jobs on a pool, collected in plan order so the
  * first failing window's exception surfaces deterministically,
  * exactly as the serial pass would have thrown it (the pool already
- * fault-isolates each job).
+ * isolates each job's failure).
  */
 template <class Job>
 void
@@ -580,7 +574,7 @@ SimResult
 replayTrace(const SimConfig &config, const Program &program,
             const Trace &trace, const ReplayOptions &options)
 {
-    checkReplayable(config, program, trace);
+    checkReplayable(program, trace);
     if (trace.records.empty())
         fatal("trace replay: the trace holds no records");
     if (options.samplePeriod == 0)

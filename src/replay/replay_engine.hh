@@ -121,9 +121,8 @@ planSampleWindows(std::size_t totalRecords,
  * interval ("n/a" when fewer than two windows were measured).
  *
  * @throws FatalError when the trace was not captured from @p program
- *         (hash mismatch or per-record divergence), when fault
- *         injection is requested (replay has no fault injector), or
- *         when a requested checkpoint is missing, corrupt or keyed to
+ *         (hash mismatch or per-record divergence), or when a
+ *         requested checkpoint is missing, corrupt or keyed to
  *         a different (trace, program, config, sampling) tuple.
  * @throws SimAbort on the same watchdogs as the cycle simulator.
  */

@@ -7,13 +7,11 @@
 #ifndef PIPESIM_SIM_CONFIG_HH
 #define PIPESIM_SIM_CONFIG_HH
 
-#include <atomic>
 #include <string>
 #include <vector>
 
 #include "core/fetch_unit.hh"
 #include "cpu/pipeline.hh"
-#include "fault/fault.hh"
 #include "isa/encode.hh"
 #include "mem/memory_system.hh"
 
@@ -28,13 +26,6 @@ struct SimConfig
     PipelineConfig cpu;
 
     /**
-     * Deterministic fault injection (fault/fault.hh).  Disabled by
-     * default; when enabled the Simulator builds a FaultInjector and
-     * hands it to the memory system.
-     */
-    fault::FaultConfig fault;
-
-    /**
      * Feed the CPI-stack cycle accountant (obs::CpiStack) from the
      * pipeline, registering the per-cause cycle breakdown as
      * "cpi_stack.*" counters.  On by default so every tool reports
@@ -47,18 +38,6 @@ struct SimConfig
 
     /** Cycles without an instruction retiring => deadlock report. */
     Cycle progressWindow = 2'000'000;
-
-    /**
-     * Host-side cooperative cancellation.  When non-null, the
-     * machine's watchdog check (Simulator::checkWatchdogs, shared by
-     * both engines) polls it and raises TimeoutAbort once it reads
-     * true — how the sweep engine's --point-deadline-ms watchdog
-     * stops a point that overran its wall-clock budget without
-     * killing the worker.  Not
-     * part of the machine's identity: replay::configSha256 (and with
-     * it every checkpoint and result-store cache key) ignores it.
-     */
-    const std::atomic<bool> *cancelFlag = nullptr;
 
     /** Human-readable description of the fetch side. */
     std::string fetchName() const;

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "common/abort.hh"
 #include "common/log.hh"
@@ -17,9 +14,7 @@
 #include "obs/metrics.hh"
 #include "obs/profiler.hh"
 #include "replay/replay_engine.hh"
-#include "replay/trace_format.hh"
 #include "sim/guard.hh"
-#include "store/result_store.hh"
 
 namespace pipesim
 {
@@ -72,18 +67,6 @@ makeValidSweepConfig(const SweepSpec &spec, const std::string &strategy,
         cfg.maxCycles = spec.maxCycles;
     if (spec.progressWindow)
         cfg.progressWindow = spec.progressWindow;
-    cfg.fault = spec.fault;
-    if (cfg.fault.kinds != fault::None) {
-        const std::string name =
-            strategy + ":" + std::to_string(cache_bytes);
-        if (!spec.faultPoint.empty() && spec.faultPoint != name) {
-            cfg.fault.kinds = fault::None;
-        } else {
-            // Give the point its own reproducible fault stream.
-            cfg.fault.seed = fault::FaultInjector::derivePointSeed(
-                spec.fault.seed, strategy, cache_bytes);
-        }
-    }
     return cfg;
 }
 
@@ -95,7 +78,7 @@ sweepPointValid(const SweepSpec &spec, const std::string &strategy,
 }
 
 std::vector<SweepPointPlan>
-planSweepPoints(const SweepSpec &spec, const store::ResultKeyParams *keys)
+planSweepPoints(const SweepSpec &spec)
 {
     std::vector<SweepPointPlan> points;
     points.reserve(spec.cacheSizes.size() * spec.strategies.size());
@@ -111,8 +94,6 @@ planSweepPoints(const SweepSpec &spec, const store::ResultKeyParams *keys)
             p.cacheBytes = spec.cacheSizes[r];
             p.strategy = spec.strategies[c];
             p.cfg = std::move(*cfg);
-            if (keys)
-                p.storeKey = store::resultKeyHex(p.cfg, *keys);
             points.push_back(std::move(p));
         }
     }
@@ -121,95 +102,6 @@ planSweepPoints(const SweepSpec &spec, const store::ResultKeyParams *keys)
 
 namespace
 {
-
-/**
- * The result-store key parameters a sweep's points share: program
- * hash, engine name, trace hash and sampling parameters (the
- * per-point config/fault identity is folded in by resultKeyHex).
- */
-store::ResultKeyParams
-sweepKeyParams(const SweepSpec &spec, const Program &program)
-{
-    store::ResultKeyParams keyParams;
-    keyParams.programSha256 = replay::programSha256(program);
-    if (spec.engine == SweepEngine::Trace) {
-        keyParams.engine =
-            spec.samplePeriod ? "trace-sampled" : "trace-exact";
-        // An auto-captured trace has no encoded-stream hash yet; its
-        // program hash still pins the capture (the committed stream
-        // is a pure function of the program).
-        keyParams.traceSha256 = !spec.trace->sha256.empty()
-                                    ? spec.trace->sha256
-                                    : spec.trace->meta.programSha256;
-        keyParams.samplePeriod = spec.samplePeriod;
-        if (spec.samplePeriod) {
-            keyParams.sampleWarmup = spec.sampleWarmup;
-            keyParams.sampleMeasure = spec.sampleMeasure;
-        }
-    } else {
-        keyParams.engine = "cycle";
-    }
-    return keyParams;
-}
-
-/**
- * Host-side control block for one scheduled point.  deadlineNs is
- * armed by the point's worker right before it runs and observed by
- * the DeadlineEnforcer watchdog, which answers by setting cancel —
- * the flag the simulated machine's tick loop polls through
- * SimConfig::cancelFlag.
- */
-struct PointControl
-{
-    std::atomic<std::uint64_t> deadlineNs{0}; //!< 0 = not running
-    std::atomic<bool> cancel{false};
-};
-
-/**
- * The --point-deadline-ms watchdog: one thread scanning every
- * in-flight point's armed deadline a few hundred times a second.
- * Purely host-side — it never touches simulated state, only the
- * cooperative cancel flags — so it cannot perturb results.  The
- * controls vector must outlive the enforcer.
- */
-class DeadlineEnforcer
-{
-  public:
-    DeadlineEnforcer(std::vector<PointControl> &controls, bool enabled)
-    {
-        if (enabled)
-            _thread = std::thread([this, &controls] { watch(controls); });
-    }
-
-    ~DeadlineEnforcer()
-    {
-        if (_thread.joinable()) {
-            _stop.store(true, std::memory_order_relaxed);
-            _thread.join();
-        }
-    }
-
-    DeadlineEnforcer(const DeadlineEnforcer &) = delete;
-    DeadlineEnforcer &operator=(const DeadlineEnforcer &) = delete;
-
-  private:
-    void watch(std::vector<PointControl> &controls)
-    {
-        while (!_stop.load(std::memory_order_relaxed)) {
-            const std::uint64_t now = obs::profileNowNs();
-            for (PointControl &c : controls) {
-                const std::uint64_t deadline =
-                    c.deadlineNs.load(std::memory_order_relaxed);
-                if (deadline && now >= deadline)
-                    c.cancel.store(true, std::memory_order_relaxed);
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-    }
-
-    std::atomic<bool> _stop{false};
-    std::thread _thread;
-};
 
 /**
  * One planned point plus the runtime state runCacheSweep tracks for
@@ -226,9 +118,6 @@ struct SweepPoint
 
     /** Host telemetry (same publication rule). */
     std::uint64_t wallNs = 0;
-
-    /** True when the store served this point (it never runs). */
-    bool served = false;
 };
 
 /** Turn the exception behind @p p.error into a structured record. */
@@ -240,11 +129,6 @@ describeFailure(const SweepPoint &p)
     f.cacheBytes = p.plan.cacheBytes;
     try {
         std::rethrow_exception(p.error);
-    } catch (const TimeoutAbort &e) {
-        f.message = e.what();
-        f.timeout = true;
-        if (e.hasSnapshot())
-            f.snapshot = e.snapshot().toString();
     } catch (const SimAbort &e) {
         f.message = e.what();
         if (e.hasSnapshot())
@@ -320,12 +204,6 @@ touchSweepMetrics()
     reg.gauge("pool.workers");
     reg.histogram("pool.queue_depth");
     reg.histogram("sweep.point_ns");
-    // Result-store and deadline metrics stay in the key set even for
-    // store-less sweeps, so exports compare cleanly across runs.
-    reg.counter("store.hits");
-    reg.counter("store.misses");
-    reg.counter("store.recovered");
-    reg.counter("point.timeouts");
 }
 
 } // namespace
@@ -342,9 +220,6 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         if (!spec.trace)
             fatal("trace-engine sweep requested without a trace "
                   "(SweepSpec::trace is null)");
-        if (spec.fault.kinds != fault::None)
-            fatal("trace-engine sweep cannot inject faults; use the "
-                  "cycle engine for fault experiments");
         if (spec.preRun || spec.postRun)
             warn("trace-engine sweep: preRun/postRun callbacks do not "
                  "fire (no Simulator exists under replay)");
@@ -355,20 +230,6 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         headers.push_back(s);
     Table table(std::move(headers));
 
-    auto &reg = obs::MetricsRegistry::instance();
-
-    // Open (and recover) the crash-safe result store before anything
-    // is scheduled: completed points will be served from it, missing
-    // ones journaled into it as they finish.
-    std::unique_ptr<store::ResultStore> resultStore;
-    store::ResultKeyParams keyParams;
-    if (!spec.storeDir.empty()) {
-        resultStore = std::make_unique<store::ResultStore>(spec.storeDir);
-        if (resultStore->recoveredBytes())
-            reg.counter("store.recovered").add(1);
-        keyParams = sweepKeyParams(spec, program);
-    }
-
     // Enumerate every valid point up front, building each SimConfig
     // exactly once.  Invalid points render "-" in the assembled table.
     const std::size_t rows = spec.cacheSizes.size();
@@ -378,8 +239,7 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
     std::vector<SweepPoint> points;
     {
         obs::ScopedPhase phase("enumerate");
-        std::vector<SweepPointPlan> plans = planSweepPoints(
-            spec, resultStore ? &keyParams : nullptr);
+        std::vector<SweepPointPlan> plans = planSweepPoints(spec);
         points.reserve(plans.size());
         for (SweepPointPlan &plan : plans) {
             SweepPoint p;
@@ -388,36 +248,7 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         }
     }
 
-    // Consult the store before scheduling, in enumeration order, so
-    // a resumed or repeated sweep only simulates the missing points
-    // and the table stays byte-identical for any --jobs.  Hits fire
-    // on_point (the stored result carries the full counters + meta)
-    // but not preRun/postRun — no Simulator exists, as with the
-    // trace engine.
-    std::size_t storeHits = 0, storeMisses = 0;
-    if (resultStore) {
-        obs::ScopedPhase phase("store_lookup");
-        for (auto &p : points) {
-            const auto hit = resultStore->lookup(p.plan.storeKey);
-            if (!hit) {
-                ++storeMisses;
-                continue;
-            }
-            ++storeHits;
-            p.served = true;
-            cells[p.plan.row][p.plan.col] =
-                std::to_string(hit->totalCycles);
-            if (on_point)
-                on_point(p.plan.strategy, p.plan.cacheBytes, *hit);
-        }
-        reg.counter("store.hits").add(storeHits);
-        reg.counter("store.misses").add(storeMisses);
-    }
-
-    std::size_t pendingPoints = 0;
-    for (const auto &p : points)
-        pendingPoints += p.served ? 0 : 1;
-    ProgressReporter progress(spec.progress, pendingPoints);
+    ProgressReporter progress(spec.progress, points.size());
 
     // Windows stay serial inside a replayed point (jobs = 1): the
     // sweep already parallelizes across points, and nesting pools
@@ -451,14 +282,6 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         }
         // Each point owns a distinct cell; no lock needed for it.
         cells[p.plan.row][p.plan.col] = std::to_string(result.totalCycles);
-        // Journal the completed point (appends serialize inside the
-        // store; a crash right after the flush still resumes
-        // losslessly).
-        if (resultStore)
-            resultStore->put(p.plan.storeKey,
-                             p.plan.strategy + ":" +
-                                 std::to_string(p.plan.cacheBytes),
-                             result);
         if ((sim && spec.postRun) || on_point) {
             std::lock_guard<std::mutex> lock(callbacks);
             if (sim && spec.postRun)
@@ -473,9 +296,8 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
     // bad point cannot take the sweep down mid-flight.  The only
     // early exit is a termination signal, which sets `interrupted`
     // and lets the remaining workers drain their current points.
-    const bool deadlines = spec.pointDeadlineMs > 0;
     std::atomic<bool> interrupted{false};
-    auto runPoint = [&](SweepPoint &p, PointControl &ctl) {
+    auto runPoint = [&](SweepPoint &p) {
         // Scope::Root: the phase attaches at the executing thread's
         // root, so the aggregated "point" path is identical whether
         // the point ran inline (jobs=1) or on a pool worker.
@@ -486,12 +308,6 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         if (pendingSignal()) {
             interrupted.store(true, std::memory_order_relaxed);
         } else {
-            if (deadlines) {
-                p.plan.cfg.cancelFlag = &ctl.cancel;
-                ctl.deadlineNs.store(
-                    start + std::uint64_t(spec.pointDeadlineMs) * 1'000'000,
-                    std::memory_order_relaxed);
-            }
             try {
                 simulatePoint(p);
             } catch (const InterruptedError &) {
@@ -500,14 +316,9 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
                 interrupted.store(true, std::memory_order_relaxed);
             } catch (...) {
                 p.error = std::current_exception();
-                PointFailure f = describeFailure(p);
-                if (f.timeout)
-                    reg.counter("point.timeouts").add(1);
-                cells[p.plan.row][p.plan.col] =
-                    f.timeout ? "ERR(timeout)" : "ERR";
-                p.failure = std::move(f);
+                p.failure = describeFailure(p);
+                cells[p.plan.row][p.plan.col] = "ERR";
             }
-            ctl.deadlineNs.store(0, std::memory_order_relaxed);
         }
         p.wallNs = obs::profileNowNs() - start;
         obs::MetricsRegistry::instance()
@@ -516,34 +327,23 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         progress.pointDone();
     };
 
-    // Deadline control blocks live outside the (movable) points so
-    // the watcher thread and the workers share stable atomics.
-    std::vector<PointControl> controls(points.size());
     const unsigned jobs = resolveJobCount(spec.jobs);
     {
         // Same phase name for both execution shapes, so profiler key
         // sets match across worker counts.
         obs::ScopedPhase phase("run_points");
-        DeadlineEnforcer enforcer(controls,
-                                  deadlines && pendingPoints > 0);
-        if (jobs <= 1 || pendingPoints <= 1) {
+        if (jobs <= 1 || points.size() <= 1) {
             // Serial: run in deterministic (size, strategy) order on
             // the calling thread.
-            for (std::size_t i = 0; i < points.size(); ++i)
-                if (!points[i].served)
-                    runPoint(points[i], controls[i]);
-        } else if (pendingPoints > 0) {
-            ThreadPool pool(std::min<std::size_t>(jobs, pendingPoints));
+            for (SweepPoint &p : points)
+                runPoint(p);
+        } else {
+            ThreadPool pool(std::min<std::size_t>(jobs, points.size()));
             std::vector<std::future<void>> futures;
-            futures.reserve(pendingPoints);
-            for (std::size_t i = 0; i < points.size(); ++i) {
-                if (points[i].served)
-                    continue;
-                futures.push_back(pool.submit(
-                    [&runPoint, &points, &controls, i] {
-                        runPoint(points[i], controls[i]);
-                    }));
-            }
+            futures.reserve(points.size());
+            for (SweepPoint &p : points)
+                futures.push_back(
+                    pool.submit([&runPoint, &p] { runPoint(p); }));
             // runPoint captures failures instead of throwing; waiting
             // on every future is a pure join.
             for (auto &f : futures)
@@ -552,8 +352,8 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
     }
 
     // A termination signal aborts the whole sweep (after the join, so
-    // in-flight points finished journaling): no table, no ERR cells —
-    // the guard reports the clean shutdown and the exit code.
+    // in-flight points have finished): no table, no ERR cells — the
+    // guard reports the clean shutdown and the exit code.
     if (interrupted.load(std::memory_order_relaxed) || pendingSignal()) {
         const int sig = pendingSignal();
         throw InterruptedError(sig ? sig : SIGINT);
@@ -576,13 +376,12 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         std::rethrow_exception(first);
 
     // Timings mirror enumeration order: deterministic key sequence
-    // (strategy, cacheBytes, served) for any worker count, with only
-    // wallNs carrying host timing.
+    // (strategy, cacheBytes) for any worker count, with only wallNs
+    // carrying host timing.
     std::vector<PointTiming> timings;
     timings.reserve(points.size());
     for (const auto &p : points)
-        timings.push_back(
-            {p.plan.strategy, p.plan.cacheBytes, p.served, p.wallNs});
+        timings.push_back({p.plan.strategy, p.plan.cacheBytes, p.wallNs});
 
     for (std::size_t r = 0; r < rows; ++r) {
         table.beginRow();
@@ -594,7 +393,7 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
     if (spec.onSweepEnd)
         spec.onSweepEnd();
     return SweepResult{std::move(table), std::move(failures),
-                       std::move(timings), storeHits, storeMisses};
+                       std::move(timings)};
 }
 
 } // namespace pipesim

@@ -22,7 +22,6 @@
 #include "common/table.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
-#include "store/result_store.hh"
 
 namespace pipesim
 {
@@ -71,23 +70,18 @@ struct PointFailure
     unsigned cacheBytes = 0;
     std::string message;  //!< the exception's what()
     std::string snapshot; //!< machine snapshot (SimAbort only)
-
-    /** True when the point died on the --point-deadline-ms wall-clock
-     *  watchdog (the cell renders "ERR(timeout)"). */
-    bool timeout = false;
 };
 
 /**
  * Host-side timing record for one completed (or failed) sweep point.
  * Records come back in enumeration order for every worker count, so
- * the (strategy, cacheBytes, served) key sequence is deterministic;
- * only wallNs carries nondeterministic host timing.
+ * the (strategy, cacheBytes) key sequence is deterministic; only
+ * wallNs carries nondeterministic host timing.
  */
 struct PointTiming
 {
     std::string strategy;
     unsigned cacheBytes = 0;
-    bool served = false;      //!< served from the result store (never ran)
     std::uint64_t wallNs = 0; //!< host wall-clock of the point's run
 };
 
@@ -100,11 +94,6 @@ struct SweepResult
     /** Per-point host timings, in enumeration order (valid points
      *  only — one entry per non-"-" cell). */
     std::vector<PointTiming> timings;
-
-    /** Points served from SweepSpec::storeDir without simulating /
-     *  points that had to run (0/0 when no store was attached). */
-    std::size_t storeHits = 0;
-    std::size_t storeMisses = 0;
 
     /** @return true if every valid point completed. */
     bool ok() const { return failures.empty(); }
@@ -170,7 +159,7 @@ struct SweepSpec
      * The captured trace replayed by the Trace engine (must outlive
      * the sweep; one capture drives every point because the committed
      * instruction stream is config-independent).  Required when
-     * engine == SweepEngine::Trace; fault injection is rejected there.
+     * engine == SweepEngine::Trace.
      */
     const replay::Trace *trace = nullptr;
 
@@ -191,51 +180,12 @@ struct SweepSpec
     std::string ckptDir;
     bool ckptCreate = false;
 
-    /**
-     * Crash-safe result store directory (src/store/result_store.hh).
-     * Empty disables the store.  When set, every enumerated point is
-     * looked up by content key before scheduling — hits fill their
-     * cells (and fire on_point) without simulating, misses run and
-     * are journaled on completion — so a killed or repeated sweep
-     * resumes losslessly with a byte-identical table for any --jobs.
-     * Failed (ERR) points are never journaled: a resumed sweep
-     * re-attempts them.  preRun/postRun do not fire for served
-     * points (there is no Simulator), mirroring the trace engine's
-     * contract.
-     */
-    std::string storeDir;
-
-    /**
-     * Per-point wall-clock deadline in milliseconds (0 = none).
-     * A watchdog thread arms each running point's cooperative
-     * cancellation flag (SimConfig::cancelFlag) when its budget
-     * expires; the tick loops observe it and unwind with
-     * TimeoutAbort, dispositioned through the normal failure policy
-     * as "ERR(timeout)" — the pool keeps draining the other points.
-     */
-    unsigned pointDeadlineMs = 0;
-
-    /**
-     * Fault injection applied to the swept machines (fault/fault.hh).
-     * Each point derives its own seed from (fault.seed, strategy,
-     * cache size), so its fault stream is independent of the worker
-     * count and of which other points are swept.
-     */
-    fault::FaultConfig fault;
-
-    /**
-     * When non-empty, restrict fault injection to the single point
-     * named "strategy:cachebytes" (e.g. "16-16:64"); every other
-     * point runs fault-free.  Ignored when fault.kinds is None.
-     */
-    std::string faultPoint;
-
     /** Override SimConfig::maxCycles for every point (0 = keep the
      *  default). */
     Cycle maxCycles = 0;
 
     /** Override SimConfig::progressWindow for every point (0 = keep
-     *  the default) -- lets tests detect an injected deadlock fast. */
+     *  the default) -- lets tests detect a deadlock fast. */
     Cycle progressWindow = 0;
 
     /**
@@ -283,21 +233,15 @@ struct SweepPointPlan
     unsigned cacheBytes = 0;
     std::string strategy;
     SimConfig cfg; //!< built exactly once, at planning
-
-    /** Result-store content key; "" when planned without keys. */
-    std::string storeKey;
 };
 
 /**
  * Enumerate every valid point of the sweep grid in deterministic
  * (size, strategy) order, building each SimConfig exactly once.
- * When @p keys is non-null each point also gets its result-store
- * content key (store::resultKeyHex).  Invalid (degenerate) points are
- * omitted — they render "-" in an assembled table.
+ * Invalid (degenerate) points are omitted — they render "-" in an
+ * assembled table.
  */
-std::vector<SweepPointPlan>
-planSweepPoints(const SweepSpec &spec,
-                const store::ResultKeyParams *keys = nullptr);
+std::vector<SweepPointPlan> planSweepPoints(const SweepSpec &spec);
 
 /**
  * Build the SimConfig for one (strategy, cache size) point when the

@@ -92,10 +92,7 @@ runGuardedMain(const std::function<int()> &body)
     try {
         return body();
     } catch (const InterruptedError &e) {
-        std::cerr << e.what()
-                  << " -- shutting down cleanly; results journaled so "
-                     "far are safe (rerun with the same --store-dir "
-                     "to resume)\n";
+        std::cerr << e.what() << " -- shutting down cleanly\n";
         return 128 + e.signalNumber();
     } catch (const FatalError &e) {
         std::cerr << e.what() << "\n";

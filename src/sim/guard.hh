@@ -10,8 +10,8 @@
  *    machine snapshot when one is attached, exit 2;
  *  - PanicError (simulator bug): the message plus a please-report
  *    banner, exit 2;
- *  - InterruptedError (SIGINT/SIGTERM): a resume hint, exit 128+sig
- *    (the shell convention);
+ *  - InterruptedError (SIGINT/SIGTERM): a clean-shutdown notice, exit
+ *    128+sig (the shell convention);
  *  - any other exception: reported as unhandled, exit 2.
  *
  * Signal handling: runGuardedMain() installs SIGINT/SIGTERM handlers
@@ -19,11 +19,9 @@
  * long-running loops (Simulator::checkWatchdogs, the replay engine's
  * per-cycle watchdogs, the sweep engine between points) poll the flag
  * via checkInterrupt() and unwind with
- * InterruptedError, so teardown is always orderly: destructors run,
- * the profiler report flushes, and — crucially for crash-safe sweeps
- * (docs/robustness.md, "Crash safety and resume") — the result-store
- * journal is left clean, containing exactly the points that
- * completed.  Nothing is ever written from the handler itself.
+ * InterruptedError, so teardown is always orderly: destructors run
+ * and the profiler report flushes.  Nothing is ever written from the
+ * handler itself.
  */
 
 #ifndef PIPESIM_SIM_GUARD_HH

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "common/abort.hh"
-#include "common/log.hh"
 #include "core/fetch_factory.hh"
 #include "obs/profiler.hh"
 #include "sim/guard.hh"
@@ -58,13 +57,6 @@ Simulator::build(const replay::Trace *trace, std::size_t firstRecord)
     _pipeline->setProbes(&_probes);
     _fetch->setProbes(&_probes);
     _mem->setProbes(&_probes);
-
-    if (_config.fault.enabled()) {
-        _faultInjector =
-            std::make_unique<fault::FaultInjector>(_config.fault);
-        _mem->setFaultInjector(_faultInjector.get());
-        _faultInjector->regStats(_stats, "fault");
-    }
 
     _pipeline->regStats(_stats, "cpu");
     _fetch->regStats(_stats, "fetch");
@@ -124,15 +116,7 @@ Simulator::checkWatchdogs()
         _now - _lastProgressCycle > _config.progressWindow)
         simAbort("no instruction retired for ", _config.progressWindow,
                  " cycles: machine deadlocked at cycle ", _now);
-    // Host-side watchdogs: the sweep's per-point wall-clock deadline
-    // (snapshot attached here so TimeoutAbort keeps its type through
-    // run()'s decoration) and the guard's SIGINT/SIGTERM flag.
-    if (_config.cancelFlag &&
-        _config.cancelFlag->load(std::memory_order_relaxed))
-        throw TimeoutAbort("abort: point exceeded its wall-clock "
-                           "deadline (timeout): cancelled at cycle " +
-                               std::to_string(_now),
-                           snapshot());
+    // Host-side: the guard's SIGINT/SIGTERM flag.
     checkInterrupt();
 }
 
@@ -253,9 +237,8 @@ Simulator::run()
 void
 Simulator::runUntil(std::size_t record)
 {
-    // Gating and skipping are exact only when no one watches single
-    // cycles and no random stream is drawn per cycle.
-    const bool gate = !_faultInjector && !_probes.anyActive();
+    // Gating and skipping are exact only when no one watches single cycles.
+    const bool gate = !_probes.anyActive();
     // The memo also needs the trace's control flow, and a timing model
     // that compares no data addresses: the data cache does.
     const bool memo = gate && _memo && !_mem->hasDcache();
@@ -322,9 +305,6 @@ Simulator::snapshot() const
 void
 Simulator::saveState(StateWriter &w) const
 {
-    if (_faultInjector)
-        fatal("cannot checkpoint a fault-injected machine: the "
-              "injector's random stream is not part of the state");
     w.stamp(_now);
     // Compared only as now - lastProgressCycle > progressWindow.
     w.stamp(_lastProgressCycle);

@@ -41,7 +41,6 @@
 #include "common/abort.hh"
 #include "common/state_io.hh"
 #include "common/stats.hh"
-#include "fault/fault.hh"
 #include "core/fetch_unit.hh"
 #include "cpu/pipeline.hh"
 #include "mem/data_memory.hh"
@@ -110,9 +109,9 @@ class Simulator
      * zero host-profiling cost: the replay engine attributes its own
      * phases, and pooled windows must not touch the profiler from
      * worker threads.  It gates ticks and skips idle cycles unless a
-     * fault injector is present or a probe listener is attached; on
-     * those terms, a machine with a trace value source and no data
-     * cache also skips repeating loop iterations.
+     * probe listener is attached; on those terms, a machine with a
+     * trace value source and no data cache also skips repeating loop
+     * iterations.
      * @throws SimAbort carrying a machine snapshot.
      */
     void runUntil(std::size_t record);
@@ -153,12 +152,6 @@ class Simulator
     /** The CPI-stack accountant, or nullptr when disabled. */
     const obs::CpiStack *cpiStack() const { return _cpiStack.get(); }
 
-    /** The fault injector, or nullptr when fault injection is off. */
-    const fault::FaultInjector *faultInjector() const
-    {
-        return _faultInjector.get();
-    }
-
     /** Snapshot the result of a finished (or in-progress) run. */
     SimResult result() const;
 
@@ -174,8 +167,6 @@ class Simulator
      * The DataMemory's contents are NOT included — a checkpoint
      * captures its dirty pages separately, since a borrowed backing
      * store outlives any one machine.
-     * @throws FatalError when fault injection is on (the injector's
-     *         random stream is not checkpointed).
      */
     void saveState(StateWriter &w) const;
 
@@ -228,7 +219,6 @@ class Simulator
     std::unique_ptr<FetchUnit> _fetch;
     std::unique_ptr<Pipeline> _pipeline;
     std::unique_ptr<obs::CpiStack> _cpiStack;
-    std::unique_ptr<fault::FaultInjector> _faultInjector;
     std::unique_ptr<LoopMemo> _memo; //!< under a trace value source
     StatGroup _stats;
 

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/log.hh"
-#include "fault/fault_cli.hh"
 #include "replay/capture.hh"
 #include "replay/replay_engine.hh"
 #include "replay/trace_format.hh"
@@ -17,7 +16,6 @@ registerStandardFlags(CliParser &cli, const StandardFlagGroups &groups)
 {
     obs::ObsOptions::addOptions(cli);
     obs::ProfileOptions::addOptions(cli);
-    fault::addFaultOptions(cli);
     if (groups.sweep) {
         cli.addOption("jobs", "0",
                       "parallel sweep workers (0 = PIPESIM_JOBS env or "
@@ -25,24 +23,12 @@ registerStandardFlags(CliParser &cli, const StandardFlagGroups &groups)
         cli.addOption("obs-point", "16-16:128",
                       "sweep point (strategy:cachebytes) the "
                       "observability outputs apply to");
-        cli.addOption("fi-point", "",
-                      "restrict fault injection to one sweep point "
-                      "(strategy:cachebytes); empty = every point");
         cli.addFlag("fail-fast",
                     "abort the sweep on the first point failure instead "
                     "of rendering ERR cells and reporting at the end");
         cli.addFlag("progress",
                     "emit a throttled sweep heartbeat with ETA on "
                     "stderr (stdout tables are unaffected)");
-        cli.addOption("store-dir", "",
-                      "journal each completed point into this result "
-                      "store and serve already-completed points from "
-                      "it, so an interrupted sweep resumes losslessly "
-                      "(empty = no store)");
-        cli.addOption("point-deadline-ms", "0",
-                      "wall-clock budget per sweep point attempt; an "
-                      "overrunning point is cancelled and dispositioned "
-                      "as ERR(timeout) (0 = no deadline)");
         cli.addOption("progress-window", "0",
                       "override the engine's no-forward-progress "
                       "watchdog window, in cycles (0 = engine default)");
@@ -96,15 +82,11 @@ standardFlagsFromCli(const CliParser &cli, const StandardFlagGroups &groups)
     // Activate now so workload construction and capture are covered
     // too; runGuardedMain() flushes the report on every exit path.
     obs::activateProfiling(f.profile);
-    f.fault = fault::faultConfigFromCli(cli);
     if (groups.sweep) {
         f.jobs = nonNegative(cli, "jobs");
         f.obsPoint = cli.get("obs-point");
-        f.faultPoint = cli.get("fi-point");
         f.failFast = cli.getFlag("fail-fast");
         f.progress = cli.getFlag("progress");
-        f.storeDir = cli.get("store-dir");
-        f.pointDeadlineMs = nonNegative(cli, "point-deadline-ms");
         f.progressWindow = nonNegative(cli, "progress-window");
     }
     if (groups.engine) {
@@ -172,10 +154,6 @@ applyStandardFlags(SweepSpec &spec, const StandardFlags &flags)
 {
     spec.jobs = flags.jobs;
     spec.progress = flags.progress;
-    spec.fault = flags.fault;
-    spec.faultPoint = flags.faultPoint;
-    spec.storeDir = flags.storeDir;
-    spec.pointDeadlineMs = flags.pointDeadlineMs;
     if (flags.progressWindow)
         spec.progressWindow = flags.progressWindow;
     spec.failurePolicy = flags.failFast
@@ -197,17 +175,11 @@ applyStandardFlags(SweepSpec &spec, const StandardFlags &flags)
         fatal("--ckpt-create requires --ckpt-dir to name the "
               "checkpoint directory");
     }
-    if (flags.engine == SweepEngine::Trace) {
-        if (flags.fault.enabled())
-            fatal("--engine trace cannot be combined with fault "
-                  "injection (--fi-kind): replay has no fault "
-                  "injector; use --engine cycle");
-        if (flags.obs.any())
-            fatal("--engine trace cannot produce the per-point "
-                  "observability outputs (--cpi-stack/--trace-json/"
-                  "--stats-json): replay has no probe bus to attach "
-                  "to; use --engine cycle");
-    }
+    if (flags.engine == SweepEngine::Trace && flags.obs.any())
+        fatal("--engine trace cannot produce the per-point "
+              "observability outputs (--cpi-stack/--trace-json/"
+              "--stats-json): replay has no probe bus to attach "
+              "to; use --engine cycle");
     installObs(spec, flags);
 }
 

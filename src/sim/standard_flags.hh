@@ -5,9 +5,7 @@
  *
  *   observability   --cpi-stack, --trace-json, --stats-json
  *   host profiling  --profile, --profile-json
- *   fault injection --fi-kind, --fi-seed, --fi-rate
- *   sweep control   --jobs, --obs-point, --fi-point, --fail-fast,
- *                   --progress, --store-dir, --point-deadline-ms,
+ *   sweep control   --jobs, --obs-point, --fail-fast, --progress,
  *                   --progress-window
  *   engine          --engine cycle|trace, --trace-file,
  *                   --sample-period, --sample-warmup, --sample-measure,
@@ -27,7 +25,6 @@
 #include <memory>
 #include <string>
 
-#include "fault/fault.hh"
 #include "obs/obs_cli.hh"
 #include "obs/profiler.hh"
 #include "sim/cli.hh"
@@ -44,7 +41,7 @@ struct Trace;
 /** Which optional flag groups a tool registers. */
 struct StandardFlagGroups
 {
-    bool sweep = true;  //!< --jobs/--obs-point/--fi-point/... group
+    bool sweep = true;  //!< --jobs/--obs-point/--fail-fast/... group
     bool engine = true; //!< --engine/--trace-file/--sample-* group
 };
 
@@ -53,17 +50,13 @@ struct StandardFlags
 {
     obs::ObsOptions obs;
     obs::ProfileOptions profile; //!< host profiler (--profile[-json])
-    fault::FaultConfig fault;
 
     // Sweep group.
     unsigned jobs = 0;      //!< workers (0 = env/hardware default)
     std::string obsPoint;   //!< "strategy:cachebytes" the obs observe
-    std::string faultPoint; //!< restrict injection to this point
     bool failFast = false;  //!< rethrow instead of collecting failures
     bool progress = false;  //!< --progress: stderr sweep heartbeat
-    std::string storeDir;   //!< crash-safe result store (empty = none)
-    unsigned pointDeadlineMs = 0;  //!< per-point wall clock (0 = none)
-    unsigned progressWindow = 0;   //!< watchdog override (0 = default)
+    unsigned progressWindow = 0; //!< watchdog override (0 = default)
 
     // Engine group.
     SweepEngine engine = SweepEngine::Cycle;
@@ -100,13 +93,13 @@ StandardFlags standardFlagsFromCli(const CliParser &cli,
 void installObs(SweepSpec &spec, const StandardFlags &flags);
 
 /**
- * Apply the standard flags to @p spec: worker count, fault options,
- * failure policy (benches default to collect-and-continue), engine
- * selection and the observability hooks.
+ * Apply the standard flags to @p spec: worker count, failure policy
+ * (benches default to collect-and-continue), engine selection and the
+ * observability hooks.
  *
  * @throws FatalError for contradictory combinations: the trace engine
- *         with fault injection, or with per-point observability
- *         outputs (replay has no Simulator to attach probes to).
+ *         with per-point observability outputs (replay has no
+ *         Simulator to attach probes to).
  */
 void applyStandardFlags(SweepSpec &spec, const StandardFlags &flags);
 

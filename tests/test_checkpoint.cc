@@ -527,19 +527,19 @@ TEST(CheckpointCorruptionTest, OldFormatVersionIsFatal)
     // be refused by version, not by checksum.
     CheckpointSet set = sampleSet(2);
     std::vector<std::uint8_t> bytes = encodeCheckpoint(set);
-    ASSERT_EQ(checkpointFormatVersion, 4u);
-    bytes[8] = 3; // u32 version, little-endian, right after the magic
+    ASSERT_EQ(checkpointFormatVersion, 5u);
+    bytes[8] = 4; // u32 version, little-endian, right after the magic
     const std::size_t bodyLen = bytes.size() - 32;
     Sha256 h;
     h.update(bytes.data(), bodyLen);
     const auto digest = h.digest();
     std::copy(digest.begin(), digest.end(), bytes.begin() + bodyLen);
     try {
-        decodeCheckpoint(bytes, "version-3 file");
+        decodeCheckpoint(bytes, "version-4 file");
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what()).find(
-                      "unsupported format version 3"),
+                      "unsupported format version 4"),
                   std::string::npos)
             << e.what();
     }
@@ -688,15 +688,4 @@ TEST(CycleCheckpointTest, RestoredRunDumpsTheSameStatistics)
         b.run();
         EXPECT_EQ(b.stats().dump(), want) << cfg.fetchName();
     }
-}
-
-TEST(CycleCheckpointTest, FaultInjectedMachineRefusesToSave)
-{
-    SimConfig cfg;
-    cfg.fault.kinds = fault::Grant;
-    cfg.fault.rate = 0.5;
-    Simulator sim(cfg, tinyBenchmark().program);
-    sim.step();
-    StateWriter w;
-    EXPECT_THROW(sim.saveState(w), FatalError);
 }

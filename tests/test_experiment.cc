@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
-#include <filesystem>
 #include <map>
 #include <set>
-#include <tuple>
 #include <utility>
 
 #include "common/abort.hh"
@@ -28,15 +26,57 @@ tinyBenchmark()
     return bench;
 }
 
-struct ScratchDir
+/**
+ * The grid the error-isolation tests wedge one point of.  Its slowest
+ * point (conv at 32 bytes) is unique: at 16 bytes conv would tie it.
+ */
+SweepSpec
+isolationGrid()
 {
-    explicit ScratchDir(std::string p) : path(std::move(p))
-    {
-        std::filesystem::remove_all(path);
-    }
-    ~ScratchDir() { std::filesystem::remove_all(path); }
-    std::string path;
+    SweepSpec spec;
+    spec.cacheSizes = {32, 64};
+    spec.strategies = {"conv", "8-8"};
+    return spec;
+}
+
+/** A cycle cap that only one point of a sweep exceeds, and its cell. */
+struct RunawayCap
+{
+    Cycle maxCycles = 0;
+    std::size_t row = 0; //!< table row of the capped point
+    std::size_t col = 0; //!< table column (1 = first strategy)
 };
+
+/**
+ * Run @p spec uncapped and place SweepSpec::maxCycles halfway between
+ * its slowest point's cycle count and the next one, so exactly the
+ * slowest point aborts with "simulation exceeded N cycles".
+ */
+RunawayCap
+capBelowSlowestPoint(const SweepSpec &spec)
+{
+    const Table t = runCacheSweep(spec, tinyBenchmark().program).table;
+    RunawayCap cap;
+    Cycle slowest = 0, next = 0;
+    for (std::size_t row = 0; row < t.numRows(); ++row) {
+        for (std::size_t col = 1; col < t.numCols(); ++col) {
+            const Cycle c = std::stoull(t.at(row, col));
+            if (c > slowest) {
+                next = slowest;
+                slowest = c;
+                cap.row = row;
+                cap.col = col;
+            } else {
+                next = std::max(next, c);
+            }
+        }
+    }
+    // A point keeps ticking a few cycles past its halt while the
+    // queues drain; the gap must leave the runner-up well clear.
+    EXPECT_GT(slowest - next, 100u) << "the slowest point is not unique";
+    cap.maxCycles = next + (slowest - next) / 2;
+    return cap;
+}
 
 } // namespace
 
@@ -276,10 +316,8 @@ TEST(ExperimentTest, TimingsFollowEnumerationOrder)
     EXPECT_EQ(r.timings[1].cacheBytes, 32u);
     EXPECT_EQ(r.timings[2].strategy, "32-32");
     EXPECT_EQ(r.timings[2].cacheBytes, 32u);
-    for (const auto &t : r.timings) {
-        EXPECT_FALSE(t.served);
+    for (const auto &t : r.timings)
         EXPECT_GT(t.wallNs, 0u);
-    }
 }
 
 TEST(ExperimentTest, ObservabilityPreservesDeterminism)
@@ -319,11 +357,11 @@ TEST(ExperimentTest, ObservabilityPreservesDeterminism)
             keys.insert(e.name);
         return keys;
     };
-    using TimingKey = std::tuple<std::string, unsigned, bool>;
+    using TimingKey = std::pair<std::string, unsigned>;
     auto timingKeys = [](const SweepResult &r) {
         std::vector<TimingKey> keys;
         for (const auto &t : r.timings)
-            keys.emplace_back(t.strategy, t.cacheBytes, t.served);
+            keys.emplace_back(t.strategy, t.cacheBytes);
         return keys;
     };
 
@@ -397,34 +435,34 @@ TEST(ExperimentFaultIsolation, CollectAndContinueRendersErrCellOnly)
 
 TEST(ExperimentFaultIsolation, DeadlockedFaultPointReportsSnapshot)
 {
-    // An injected all-grants-delayed fault wedges exactly one point;
-    // the sweep still completes, that cell renders ERR, the failure
-    // carries the machine snapshot, and the whole report is
-    // byte-identical for any worker count.
-    auto sweep = [](unsigned jobs) {
-        SweepSpec spec;
-        spec.cacheSizes = {16, 32};
-        spec.strategies = {"conv", "8-8"};
+    // A cycle cap that only the slowest point exceeds wedges exactly
+    // that point; the sweep still completes, that cell renders ERR,
+    // the failure carries the machine snapshot, and the whole report
+    // is byte-identical for any worker count.
+    SweepSpec spec = isolationGrid();
+    const RunawayCap cap = capBelowSlowestPoint(spec);
+    auto sweep = [&](unsigned jobs) {
         spec.jobs = jobs;
         spec.failurePolicy = SweepFailurePolicy::CollectAndContinue;
-        spec.progressWindow = 20000; // detect the wedge quickly
-        spec.fault.kinds = fault::Grant;
-        spec.fault.rate = 1.0; // no bus grant ever => clean deadlock
-        spec.faultPoint = "8-8:32";
+        spec.maxCycles = cap.maxCycles;
         return runCacheSweep(spec, tinyBenchmark().program);
     };
     const SweepResult serial = sweep(1);
     ASSERT_EQ(serial.failures.size(), 1u);
     const PointFailure &f = serial.failures[0];
-    EXPECT_EQ(f.strategy, "8-8");
-    EXPECT_EQ(f.cacheBytes, 32u);
-    EXPECT_NE(f.message.find("deadlocked"), std::string::npos);
+    EXPECT_EQ(f.strategy, spec.strategies[cap.col - 1]);
+    EXPECT_EQ(f.cacheBytes, spec.cacheSizes[cap.row]);
+    EXPECT_NE(f.message.find("exceeded"), std::string::npos);
     EXPECT_NE(f.snapshot.find("machine snapshot at cycle"),
               std::string::npos);
-    EXPECT_EQ(serial.table.at(1, 2), "ERR");
-    EXPECT_GT(std::stoull(serial.table.at(0, 2)), 0u);
-    EXPECT_GT(std::stoull(serial.table.at(0, 1)), 0u);
-    EXPECT_GT(std::stoull(serial.table.at(1, 1)), 0u);
+    for (std::size_t row = 0; row < spec.cacheSizes.size(); ++row) {
+        for (std::size_t col = 1; col <= spec.strategies.size(); ++col) {
+            if (row == cap.row && col == cap.col)
+                EXPECT_EQ(serial.table.at(row, col), "ERR");
+            else
+                EXPECT_GT(std::stoull(serial.table.at(row, col)), 0u);
+        }
+    }
 
     const SweepResult parallel = sweep(8);
     EXPECT_EQ(serial.table.toText(), parallel.table.toText());
@@ -433,13 +471,9 @@ TEST(ExperimentFaultIsolation, DeadlockedFaultPointReportsSnapshot)
 
 TEST(ExperimentFaultIsolation, FailFastRethrowsTheSimAbort)
 {
-    SweepSpec spec;
-    spec.cacheSizes = {32};
-    spec.strategies = {"8-8"};
+    SweepSpec spec = isolationGrid();
+    spec.maxCycles = capBelowSlowestPoint(spec).maxCycles;
     spec.failurePolicy = SweepFailurePolicy::FailFast;
-    spec.progressWindow = 20000;
-    spec.fault.kinds = fault::Grant;
-    spec.fault.rate = 1.0;
     try {
         runCacheSweep(spec, tinyBenchmark().program);
         FAIL() << "expected SimAbort";
@@ -448,164 +482,26 @@ TEST(ExperimentFaultIsolation, FailFastRethrowsTheSimAbort)
     }
 }
 
-// ---------------------------------------------------------------------
-// The crash-safe result store wired through the sweep.
-
-TEST(ExperimentStore, WarmSweepIsServedEntirelyFromTheStore)
+TEST(ExperimentSignal, InterruptionStartsNoFurtherPoint)
 {
-    ScratchDir dir("exp_store_warm");
-    SweepSpec spec;
-    spec.cacheSizes = {16, 32, 64};
-    spec.strategies = {"conv", "8-8"};
-    spec.storeDir = dir.path;
-
-    const SweepResult cold = runCacheSweep(spec, tinyBenchmark().program);
-    EXPECT_EQ(cold.storeHits, 0u);
-    EXPECT_EQ(cold.storeMisses, 6u);
-
-    const SweepResult warm = runCacheSweep(spec, tinyBenchmark().program);
-    EXPECT_EQ(warm.storeHits, 6u);
-    EXPECT_EQ(warm.storeMisses, 0u);
-    EXPECT_EQ(cold.table.toText(), warm.table.toText());
-    EXPECT_EQ(cold.table.toCsv(), warm.table.toCsv());
-    // Served points never ran.
-    for (const auto &t : warm.timings)
-        EXPECT_TRUE(t.served);
-
-    // The store-backed table matches a store-less sweep exactly.
-    SweepSpec plain = spec;
-    plain.storeDir.clear();
-    const SweepResult bare = runCacheSweep(plain, tinyBenchmark().program);
-    EXPECT_EQ(bare.table.toText(), warm.table.toText());
-}
-
-TEST(ExperimentStore, PartialStoreSimulatesOnlyTheMissingPoints)
-{
-    ScratchDir dir("exp_store_partial");
-    SweepSpec small;
-    small.cacheSizes = {16, 32};
-    small.strategies = {"conv", "8-8"};
-    small.storeDir = dir.path;
-    runCacheSweep(small, tinyBenchmark().program);
-
-    // Growing the sweep reuses the journaled points: keys are
-    // content-addressed, not positional.
-    SweepSpec grown = small;
-    grown.cacheSizes = {16, 32, 64};
-    const SweepResult r = runCacheSweep(grown, tinyBenchmark().program);
-    EXPECT_EQ(r.storeHits, 4u);
-    EXPECT_EQ(r.storeMisses, 2u);
-
-    SweepSpec plain = grown;
-    plain.storeDir.clear();
-    const SweepResult bare = runCacheSweep(plain, tinyBenchmark().program);
-    EXPECT_EQ(bare.table.toText(), r.table.toText());
-}
-
-TEST(ExperimentStore, ErrPointIsReattemptedOnResumeNotServed)
-{
-    // A failed point is never journaled: the resumed sweep serves the
-    // healthy points from the store and re-attempts the broken one,
-    // with identical dispositions for --jobs 1 and --jobs 8.
-    ScratchDir dir("exp_store_err");
-    auto sweep = [&](unsigned jobs) {
-        SweepSpec spec;
-        spec.cacheSizes = {16, 32};
-        spec.strategies = {"conv", "8-8"};
-        spec.jobs = jobs;
-        spec.storeDir = dir.path;
-        spec.failurePolicy = SweepFailurePolicy::CollectAndContinue;
-        spec.progressWindow = 20000;
-        spec.fault.kinds = fault::Grant;
-        spec.fault.rate = 1.0; // wedge exactly this point
-        spec.faultPoint = "8-8:32";
-        return runCacheSweep(spec, tinyBenchmark().program);
-    };
-    const SweepResult first = sweep(1);
-    ASSERT_EQ(first.failures.size(), 1u);
-    EXPECT_EQ(first.storeHits, 0u);
-    EXPECT_EQ(first.table.at(1, 2), "ERR");
-
-    const SweepResult resumed = sweep(1);
-    EXPECT_EQ(resumed.storeHits, 3u); // the healthy points
-    EXPECT_EQ(resumed.storeMisses, 1u);
-    ASSERT_EQ(resumed.failures.size(), 1u);
-    EXPECT_EQ(resumed.failures[0].strategy, "8-8");
-    EXPECT_EQ(resumed.failures[0].cacheBytes, 32u);
-    EXPECT_EQ(resumed.table.toText(), first.table.toText());
-
-    const SweepResult pooled = sweep(8);
-    EXPECT_EQ(pooled.storeHits, 3u);
-    EXPECT_EQ(pooled.table.toText(), resumed.table.toText());
-    EXPECT_EQ(pooled.failureReport(), resumed.failureReport());
-}
-
-TEST(ExperimentStore, DeadlineRendersTimeoutWithoutStallingTheSweep)
-{
-    // A point that exceeds --point-deadline-ms is cancelled
-    // cooperatively and dispositioned ERR(timeout); every other point
-    // completes normally.
-    SweepSpec spec;
-    spec.cacheSizes = {16, 32};
-    spec.strategies = {"conv", "8-8"};
-    spec.failurePolicy = SweepFailurePolicy::CollectAndContinue;
-    // Keep the simulated-time watchdogs out of the way so only the
-    // wall-clock deadline can fire on the wedged point.
-    spec.progressWindow = 2'000'000'000;
-    spec.fault.kinds = fault::Grant;
-    spec.fault.rate = 1.0;
-    spec.faultPoint = "8-8:32";
-    spec.pointDeadlineMs = 50;
-    const SweepResult r = runCacheSweep(spec, tinyBenchmark().program);
-    ASSERT_EQ(r.failures.size(), 1u);
-    EXPECT_TRUE(r.failures[0].timeout);
-    EXPECT_NE(r.failures[0].message.find("deadline"), std::string::npos);
-    EXPECT_EQ(r.table.at(1, 2), "ERR(timeout)");
-    EXPECT_GT(std::stoull(r.table.at(0, 1)), 0u);
-    EXPECT_GT(std::stoull(r.table.at(0, 2)), 0u);
-    EXPECT_GT(std::stoull(r.table.at(1, 1)), 0u);
-    // The CSV treats the timeout sentinel like any other ERR: the
-    // cell is blanked and the note column names it.
-    EXPECT_NE(r.table.toCsv().find("=ERR(timeout)"), std::string::npos);
-}
-
-TEST(ExperimentStore, SignalInterruptionAbortsThenResumesLosslessly)
-{
-    ScratchDir dir("exp_store_signal");
     struct SignalGuard
     {
         ~SignalGuard() { clearPendingSignal(); }
     } guard;
 
-    SweepSpec plain;
-    plain.cacheSizes = {16, 32, 64};
-    plain.strategies = {"conv", "8-8"};
-    plain.jobs = 1;
-    const SweepResult baseline =
-        runCacheSweep(plain, tinyBenchmark().program);
-
-    // "SIGINT" arrives while the third point is starting: the sweep
-    // must stop cleanly with the finished points journaled.
-    SweepSpec interruptedSpec = plain;
-    interruptedSpec.storeDir = dir.path;
+    // "SIGINT" arrives while the third point is starting: that point
+    // unwinds at its next watchdog check, no later point starts, and
+    // the sweep throws instead of rendering a table.
+    SweepSpec spec;
+    spec.cacheSizes = {16, 32, 64};
+    spec.strategies = {"conv", "8-8"};
+    spec.jobs = 1;
     int started = 0;
-    interruptedSpec.preRun = [&](Simulator &, const std::string &,
-                                 unsigned) {
+    spec.preRun = [&](Simulator &, const std::string &, unsigned) {
         if (++started == 3)
             requestShutdown(SIGINT);
     };
-    EXPECT_THROW(
-        runCacheSweep(interruptedSpec, tinyBenchmark().program),
-        InterruptedError);
-    clearPendingSignal();
-
-    // The resumed sweep serves the journaled prefix and produces a
-    // table byte-identical to the uninterrupted baseline.
-    SweepSpec resumedSpec = plain;
-    resumedSpec.storeDir = dir.path;
-    const SweepResult resumed =
-        runCacheSweep(resumedSpec, tinyBenchmark().program);
-    EXPECT_TRUE(resumed.ok());
-    EXPECT_GT(resumed.storeHits, 0u);
-    EXPECT_EQ(resumed.table.toText(), baseline.table.toText());
+    EXPECT_THROW(runCacheSweep(spec, tinyBenchmark().program),
+                 InterruptedError);
+    EXPECT_EQ(started, 3);
 }

@@ -157,16 +157,6 @@ TEST(ReplayGuardTest, WrongProgramIsFatal)
                  FatalError);
 }
 
-TEST(ReplayGuardTest, FaultInjectionIsFatal)
-{
-    SimConfig cfg;
-    cfg.fault.kinds = fault::All;
-    cfg.fault.rate = 0.5;
-    EXPECT_THROW(replay::replayTrace(cfg, tinyBenchmark().program,
-                                     tinyTrace()),
-                 FatalError);
-}
-
 TEST(ReplayGuardTest, AbortsCarryAMachineSnapshot)
 {
     // Replay runs on the cycle engine's Simulator, so a watchdog
@@ -272,18 +262,6 @@ TEST(ReplaySweepTest, TraceEngineWithoutTraceIsFatal)
                  FatalError);
 }
 
-TEST(ReplaySweepTest, TraceEngineWithFaultsIsFatal)
-{
-    const auto &trace = tinyTrace();
-    SweepSpec spec;
-    spec.engine = SweepEngine::Trace;
-    spec.trace = &trace;
-    spec.fault.kinds = fault::All;
-    spec.fault.rate = 0.1;
-    EXPECT_THROW(runCacheSweep(spec, tinyBenchmark().program),
-                 FatalError);
-}
-
 TEST(StandardFlagsTest, TraceEngineRejectsObsOutputs)
 {
     StandardFlags flags;
@@ -330,11 +308,17 @@ TEST(StandardFlagsTest, CliRoundTrip)
     EXPECT_EQ(f.samplePeriod, 5000u);
     EXPECT_EQ(f.jobs, 2u);
 
-    // Sweep points are deterministic, so there is no retry option.
-    CliParser retries("test");
-    registerStandardFlags(retries);
-    const char *retryArgv[] = {"tool", "--point-retries", "1"};
-    EXPECT_THROW(retries.parse(3, retryArgv), FatalError);
+    // Sweep points are deterministic, so there is no retry option;
+    // nor is there fault injection, a result store or a wall-clock
+    // point deadline.
+    for (const char *removed :
+         {"--point-retries", "--fi-kind", "--fi-seed", "--fi-rate",
+          "--fi-point", "--store-dir", "--point-deadline-ms"}) {
+        CliParser gone("test");
+        registerStandardFlags(gone);
+        const char *goneArgv[] = {"tool", removed, "1"};
+        EXPECT_THROW(gone.parse(3, goneArgv), FatalError) << removed;
+    }
 }
 
 TEST(StandardFlagsTest, BadEngineNameIsFatal)

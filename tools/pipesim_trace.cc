@@ -9,8 +9,6 @@
  *                              [--ckpt-dir d [--ckpt-create]]
  *                              [--stats-json path]
  *     pipesim-trace checkpoint <ckpt.pipeckpt> [--json]
- *     pipesim-trace store      inspect <store-dir> [--json]
- *     pipesim-trace store      compact <store-dir>
  *
  * A trace stores the committed fetch-address stream plus the traced
  * program's sha256, so `replay` rebuilds the same workload
@@ -21,11 +19,8 @@
  * thread pool (--jobs) and skip their warm-ups entirely via a
  * live-points checkpoint directory (--ckpt-dir; create the snapshots
  * first with --ckpt-create).  `checkpoint` inspects a PIPECKPT file.
- * `store` inspects or compacts a sweep result store (a PIPERES
- * journal written by --store-dir; see docs/robustness.md).
  */
 
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -42,7 +37,6 @@
 #include "sim/config.hh"
 #include "sim/guard.hh"
 #include "sim/simulator.hh"
-#include "store/result_store.hh"
 #include "workloads/benchmark_program.hh"
 #include "workloads/synthetic.hh"
 
@@ -213,54 +207,11 @@ runCheckpointInspect(CliParser &cli)
 }
 
 int
-runStore(CliParser &cli)
-{
-    const auto &args = cli.positional();
-    if (args.size() != 3 ||
-        (args[1] != "inspect" && args[1] != "compact"))
-        fatal("store needs an action and a directory: pipesim-trace "
-              "store <inspect|compact> <store-dir>");
-    store::ResultStore rs(args[2]);
-    if (args[1] == "compact") {
-        const std::uintmax_t before =
-            std::filesystem::file_size(rs.path());
-        const std::uint64_t after = rs.compact();
-        std::cout << "compacted " << rs.path() << ": " << before
-                  << " -> " << after << " bytes\n";
-    }
-    if (args[1] == "inspect" && cli.getFlag("json")) {
-        obs::JsonWriter w(std::cout);
-        w.beginObject();
-        w.key("path").value(rs.path());
-        w.key("entries").value(std::uint64_t(rs.entries()));
-        w.key("recovered_bytes").value(rs.recoveredBytes());
-        w.key("bytes").value(std::uint64_t(
-            std::filesystem::file_size(rs.path())));
-        w.key("results").beginArray();
-        for (const store::StoreEntry *e : rs.entriesInOrder()) {
-            w.beginObject();
-            w.key("key").value(e->keyHex);
-            w.key("label").value(e->label);
-            w.key("cycles").value(
-                std::uint64_t(e->result.totalCycles));
-            w.key("instructions").value(e->result.instructions);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-        std::cout << "\n";
-        return 0;
-    }
-    std::cout << store::describeStore(rs);
-    return 0;
-}
-
-int
 run(int argc, char **argv)
 {
     CliParser cli("capture, inspect and replay committed-instruction "
                   "traces (subcommands: capture | inspect | replay | "
-                  "checkpoint | store)");
+                  "checkpoint)");
     addWorkloadOptions(cli);
     cli.addOption("strategy", "16-16",
                   "replay fetch strategy: conv | tib | <iq>-<iqb>");
@@ -284,7 +235,7 @@ run(int argc, char **argv)
     cli.addOption("stats-json", "",
                   "replay: write the result as JSON ('-' = stdout)");
     cli.addFlag("json",
-                "checkpoint / store inspect: emit machine-readable "
+                "checkpoint: emit machine-readable "
                 "JSON on stdout instead of the human summary");
     obs::ProfileOptions::addOptions(cli);
     if (!cli.parse(argc, argv))
@@ -294,7 +245,7 @@ run(int argc, char **argv)
     const auto &args = cli.positional();
     if (args.empty())
         fatal("missing subcommand: pipesim-trace capture | inspect | "
-              "replay | checkpoint | store (--help for usage)");
+              "replay | checkpoint (--help for usage)");
     if (args[0] == "capture")
         return runCapture(cli);
     if (args[0] == "inspect")
@@ -303,10 +254,8 @@ run(int argc, char **argv)
         return runReplay(cli);
     if (args[0] == "checkpoint")
         return runCheckpointInspect(cli);
-    if (args[0] == "store")
-        return runStore(cli);
     fatal("unknown subcommand '", args[0],
-          "' (expected capture, inspect, replay, checkpoint or store)");
+          "' (expected capture, inspect, replay or checkpoint)");
 }
 
 } // namespace
