@@ -3,7 +3,9 @@
  * cycle simulator vs. exact trace replay vs. sampled trace replay on
  * the same workloads, plus each engine's cycle estimate so the
  * speed/accuracy trade is visible in one table (docs/trace_replay.md;
- * results in results/trace_replay.md).  Next to wall-clock it reports
+ * results in results/trace_replay.md).  An executor row times the
+ * functional execution alone, the part of the cycle engine (and of a
+ * capture) that exact replay saves.  Next to wall-clock it reports
  * each engine's ticks executed per simulated cycle: host work the
  * idle skip and the loop memo did not save, a deterministic counter
  * that does not move with host noise.
@@ -15,6 +17,7 @@
 #include <limits>
 
 #include "bench_common.hh"
+#include "cpu/executor.hh"
 #include "obs/bench_json.hh"
 #include "obs/profiler.hh"
 #include "replay/capture.hh"
@@ -140,8 +143,9 @@ run(int argc, char **argv)
     report.config["sample_period"] = cli.get("sample-period");
     report.config["reps"] = cli.get("reps");
 
-    Table table({"workload", "insts", "engine", "est_cycles",
-                 "wall_ms", "minsts_per_s", "speedup", "ticks_per_cycle"});
+    Table table({"workload", "insts", "engine", "est_cycles", "wall_ms",
+                 "ns_per_inst", "minsts_per_s", "speedup",
+                 "ticks_per_cycle"});
     for (const auto &w : workloads) {
         const replay::Trace trace =
             replay::captureTrace(cfg, w.program, "throughput bench");
@@ -160,6 +164,17 @@ run(int argc, char **argv)
                                                  sampled);
             },
             reps);
+        const double execS = secondsOf(
+            [&] {
+                DataMemory mem;
+                mem.loadProgram(w.program);
+                Executor exec(w.program, mem);
+                exec.commit(std::numeric_limits<std::size_t>::max());
+                replay::TraceRecord rec;
+                while (exec.step(rec)) {
+                }
+            },
+            reps);
         const auto work = countWork(cfg, w.program, trace, sampled);
 
         const auto row = [&](const std::string &engine,
@@ -171,6 +186,7 @@ run(int argc, char **argv)
             table.cell(engine);
             table.cell(std::uint64_t(res.totalCycles));
             table.cell(secs * 1e3);
+            table.cell(secs * 1e9 / insts);
             table.cell(insts / secs / 1e6);
             table.cell(cycleS / secs);
             table.cell(engineWork.perCycle(), 4);
@@ -186,6 +202,7 @@ run(int argc, char **argv)
             rec.metrics["insts"] = insts;
             rec.metrics["est_cycles"] = double(res.totalCycles);
             rec.metrics["wall_ms"] = secs * 1e3;
+            rec.metrics["ns_per_inst"] = secs * 1e9 / insts;
             rec.metrics["minsts_per_s"] = insts / secs / 1e6;
             rec.metrics["speedup_vs_cycle"] = cycleS / secs;
             rec.metrics["ticks_per_cycle"] = engineWork.perCycle();
@@ -193,6 +210,7 @@ run(int argc, char **argv)
         row("cycle", cycleRes, cycleS, work[0]);
         row("trace-exact", exactRes, exactS, work[1]);
         row("trace-sampled", sampledRes, sampledS, work[2]);
+        row("executor", SimResult{}, execS, Work{});
     }
     std::cout << (cli.getFlag("csv") ? table.toCsv() : table.toText())
               << "\n";

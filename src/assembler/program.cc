@@ -58,7 +58,7 @@ Program::decodeAt(Addr addr) const
     const Parcel p1 = parcelAt(addr);
     const unsigned parcels = isa::instParcels(p1, _mode);
     const Parcel p2 = parcels > 1 ? parcelAt(addr + parcelBytes) : Parcel(0);
-    return isa::decode(p1, p2, _mode);
+    return isa::tryDecode(p1, p2, _mode);
 }
 
 void

@@ -67,7 +67,8 @@ class Program
 
     /**
      * Decode the instruction at @p addr.
-     * @return nullopt when @p addr is outside the code image.
+     * @return nullopt when @p addr is outside the code image or its
+     *         parcels do not decode.
      */
     std::optional<isa::Instruction> decodeAt(Addr addr) const;
 

@@ -265,8 +265,11 @@ class FetchUnit : public MemClient
         PIPESIM_ASSERT(off % parcelBytes == 0, "unaligned parcel address ",
                        addr);
         isa::Instruction &inst = _decoded[off / parcelBytes];
-        if (inst.parcels == 0)
-            inst = *_program.decodeAt(addr);
+        if (inst.parcels == 0) {
+            const auto decoded = _program.decodeAt(addr);
+            PIPESIM_ASSERT(decoded, "undecodable parcel at ", addr);
+            inst = *decoded;
+        }
         return inst;
     }
 

@@ -5,8 +5,8 @@
 
 #include "common/abort.hh"
 #include "common/log.hh"
+#include "cpu/executor.hh"
 #include "isa/opcodes.hh"
-#include "replay/trace_format.hh"
 
 namespace pipesim
 {
@@ -15,9 +15,9 @@ using isa::Cond;
 using isa::Opcode;
 
 Pipeline::Pipeline(const PipelineConfig &config, FetchUnit &fetch,
-                   MemorySystem &mem, const replay::Trace *trace,
+                   MemorySystem &mem, RecordStream &records,
                    std::size_t firstRecord)
-    : _cfg(config), _fetch(fetch), _mem(mem), _trace(trace),
+    : _cfg(config), _fetch(fetch), _mem(mem), _records(records),
       _dataPort(*this),
       _queues(config.laqEntries, config.ldqEntries, config.saqEntries,
               config.sdqEntries),
@@ -95,6 +95,59 @@ Pipeline::DataPort::loadData(const MemRequest &, Word value)
     ++_owner._loadsDelivered;
 }
 
+std::optional<std::size_t>
+Pipeline::resyncDataAddrs(bool apply)
+{
+    // Newest first: the memory ops back to the oldest queued one (by
+    // sequence number), the loads back to the oldest undelivered one
+    // (by data sequence), and the memory stores the external memory
+    // holds, which come right before the queued stores.
+    std::uint64_t oldest = _memOpSeq;
+    for (const auto *q : {&_queues.laq(), &_queues.saq()})
+        if (!q->empty())
+            oldest = std::min(oldest, q->front().seq);
+    const std::size_t extStores = _mem.dataStoresInFlight();
+    std::size_t queuedStores = _queues.saq().size();
+    std::vector<Addr> ops, loads, stores;
+    std::size_t back = 0;
+    while (ops.size() < _memOpSeq - oldest ||
+           loads.size() < _loadsIssued - _loadsDelivered ||
+           stores.size() < extStores) {
+        const replay::TraceRecord *r =
+            back < std::min(_cursor, RecordStream::lookBack / 2)
+                ? _records.at(_cursor - ++back)
+                : nullptr;
+        if (!r && apply)
+            panic("the records of live loads and stores are released");
+        if (!r)
+            return std::nullopt;
+        if (!r->hasMemAddr)
+            continue;
+        ops.push_back(r->memAddr);
+        if (!r->memIsStore)
+            loads.push_back(r->memAddr);
+        else if (queuedStores > 0)
+            --queuedStores;
+        else if (!FpuDevice::contains(r->memAddr))
+            stores.push_back(r->memAddr);
+    }
+    if (!apply)
+        return back;
+    for (FixedQueue<PendingAccess> *q : {&_queues.laq(), &_queues.saq()}) {
+        for (std::size_t n = q->size(); n > 0; --n) {
+            PendingAccess e = q->pop();
+            e.addr = ops[_memOpSeq - 1 - e.seq];
+            q->push(e);
+        }
+    }
+    _mem.retargetData([&](const MemRequest &req, std::size_t storesAfter) {
+        return req.isStore ? stores[storesAfter]
+                           : loads[_loadsIssued - 1 - req.dataSeq];
+    });
+    _dataPort.refresh();
+    return back;
+}
+
 std::vector<Addr>
 Pipeline::recentRetiredPcs() const
 {
@@ -164,32 +217,18 @@ Pipeline::checkLdqDeadlock(StallReason hazard, Cycle now) const
              "ldqEntries - 1)");
 }
 
-Word
-Pipeline::readSource(unsigned r)
-{
-    if (r == isa::queueReg)
-        return _queues.ldq().pop();
-    return _regs.read(r);
-}
-
 void
 Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
 {
     const isa::Instruction &inst = fi.inst;
     const auto &info = isa::opcodeInfo(inst.op);
 
-    // Source reads pop the LDQ for r7 under either value source (the
-    // hazard check already proved it holds enough entries).
-    Word a = 0;
-    Word b = 0;
-    if (info.hasRs1 || (inst.op == Opcode::Pbr && inst.cond != Cond::Always))
-        a = readSource(inst.rs1);
-    if (info.hasRs2)
-        b = readSource(inst.rs2);
+    // Each r7 source pops the LDQ (the hazard check already proved it
+    // holds enough entries).
+    for (unsigned pops = inst.ldqPops(); pops > 0; --pops)
+        _queues.ldq().pop();
 
-    const Outcome o = _trace ? traced(fi) : compute(inst, a, b);
-
-    // The commit step, shared by both value sources.
+    const replay::TraceRecord &o = recorded(fi);
     switch (inst.op) {
       case Opcode::Ld:
       case Opcode::LdX:
@@ -205,15 +244,15 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
         ++_stores;
         break;
       case Opcode::Pbr:
-        if (o.taken)
+        if (o.branchTaken)
             ++_pbrTaken;
         else
             ++_pbrNotTaken;
-        _pendingResolve = Resolve{o.taken, o.target};
+        _pendingResolve = Resolve{o.branchTaken, o.branchTarget};
         break;
       case Opcode::Rsw:
         // Bank switches redirect which busy-until slots later reads
-        // check, so they are timing state under either value source.
+        // check.
         _regs.switchBanks();
         break;
       case Opcode::Halt:
@@ -226,10 +265,9 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
 
     if (info.hasRd) {
         if (inst.rd == isa::queueReg) {
-            _queues.sdq().push(o.result);
+            _queues.sdq().push(0);
             _dataPort.refresh();
         } else {
-            _regs.write(inst.rd, o.result);
             _regs.setBusyUntil(inst.rd, now + _cfg.aluLatency);
         }
     }
@@ -240,103 +278,54 @@ Pipeline::execute(const isa::FetchedInst &fi, Cycle now)
     if (_probes && _probes->retire.active())
         _probes->retire.notify(obs::RetireEvent{
             now, fi, info.isLoad || info.isStore, info.isStore,
-            o.memAddr, inst.isPbr(), o.taken, o.target});
-}
-
-Pipeline::Outcome
-Pipeline::compute(const isa::Instruction &inst, Word a, Word b)
-{
-    const Word imm = Word(inst.imm);
-    // Logical immediates are zero-extended (so lui+ori can build full
-    // 32-bit constants); arithmetic immediates are sign-extended.
-    const Word uimm = imm & 0xffff;
-    Outcome o;
-
-    switch (inst.op) {
-      case Opcode::Add: o.result = a + b; break;
-      case Opcode::Sub: o.result = a - b; break;
-      case Opcode::And: o.result = a & b; break;
-      case Opcode::Or: o.result = a | b; break;
-      case Opcode::Xor: o.result = a ^ b; break;
-      case Opcode::Sll: o.result = a << (b & 31); break;
-      case Opcode::Srl: o.result = a >> (b & 31); break;
-      case Opcode::Sra: o.result = Word(SWord(a) >> (b & 31)); break;
-      case Opcode::Addi: o.result = a + imm; break;
-      case Opcode::Subi: o.result = a - imm; break;
-      case Opcode::Andi: o.result = a & uimm; break;
-      case Opcode::Ori: o.result = a | uimm; break;
-      case Opcode::Xori: o.result = a ^ uimm; break;
-      case Opcode::Slli: o.result = a << (imm & 31); break;
-      case Opcode::Srli: o.result = a >> (imm & 31); break;
-      case Opcode::Srai: o.result = Word(SWord(a) >> (imm & 31)); break;
-      case Opcode::Li: o.result = imm; break;
-      case Opcode::Lui: o.result = imm << 16; break;
-      case Opcode::Mov: o.result = a; break;
-      case Opcode::Not: o.result = ~a; break;
-      case Opcode::Neg: o.result = Word(-SWord(a)); break;
-      case Opcode::Ld:
-      case Opcode::St: o.memAddr = a + imm; break;
-      case Opcode::LdX:
-      case Opcode::StX: o.memAddr = a + b; break;
-      case Opcode::Lbr:
-        _regs.writeBranch(inst.br, Addr(inst.imm) & 0xffff);
-        break;
-      case Opcode::Pbr: {
-        const SWord v = SWord(a);
-        switch (inst.cond) {
-          case Cond::Always: o.taken = true; break;
-          case Cond::Eqz: o.taken = v == 0; break;
-          case Cond::Nez: o.taken = v != 0; break;
-          case Cond::Ltz: o.taken = v < 0; break;
-          case Cond::Gez: o.taken = v >= 0; break;
-          case Cond::Gtz: o.taken = v > 0; break;
-          case Cond::Lez: o.taken = v <= 0; break;
-        }
-        o.target = _regs.readBranch(inst.br);
-        break;
-      }
-      case Opcode::Rsw:
-      case Opcode::Nop:
-      case Opcode::Halt:
-        break;
-      default:
-        panic("unexecutable opcode ", unsigned(inst.op));
-    }
-    return o;
+            o.memAddr, inst.isPbr(), o.branchTaken, o.branchTarget});
 }
 
 bool
 Pipeline::traceExhausted() const
 {
-    return _trace && _cursor >= _trace->records.size();
+    const replay::Trace *trace = _records.trace();
+    return trace && _cursor >= trace->records.size();
 }
 
-Pipeline::Outcome
-Pipeline::traced(const isa::FetchedInst &fi) const
+const replay::TraceRecord &
+Pipeline::recorded(const isa::FetchedInst &fi)
 {
-    const auto provenance = [this] {
-        return _trace->meta.provenance.empty() ? "none"
-                                               : _trace->meta.provenance;
+    // Issued, so consumed: an executor writes its stores straight through.
+    _records.consume(_cursor + 1);
+    const replay::TraceRecord *r = _records.at(_cursor);
+    const isa::Instruction &inst = fi.inst;
+    const bool diverged =
+        r && (r->pc != fi.pc ||
+              r->hasMemAddr != (inst.isLoad() || inst.isStore()) ||
+              r->memIsStore != inst.isStore() || r->isPbr != inst.isPbr());
+    const replay::Trace *trace = _records.trace();
+    // The executor never ends a stream the fetch side can still
+    // extend, nor leaves its path.
+    if (!trace && (!r || diverged))
+        panic("the executor's record #", _cursor, " at pc 0x", std::hex,
+              fi.pc, std::dec, " is ",
+              r ? std::string("for another pc")
+                : "missing: " + _records.endReason());
+    const auto provenance = [trace] {
+        return trace->meta.provenance.empty() ? "none"
+                                              : trace->meta.provenance;
     };
-    if (_cursor >= _trace->records.size())
+    if (!r)
         fatal("trace replay: the fetch stream issued instruction #",
               _cursor, " at pc 0x", std::hex, fi.pc, std::dec,
-              " but the trace holds only ", _trace->records.size(),
+              " but the trace holds only ", trace->records.size(),
               " records — the trace does not match this program "
               "(capture provenance: ",
               provenance(), ")");
-    const replay::TraceRecord &r = _trace->records[_cursor];
-    const isa::Instruction &inst = fi.inst;
-    if (r.pc != fi.pc ||
-        r.hasMemAddr != (inst.isLoad() || inst.isStore()) ||
-        r.memIsStore != inst.isStore() || r.isPbr != inst.isPbr())
+    if (diverged)
         fatal("trace replay diverged at record #", _cursor,
-              ": trace says pc 0x", std::hex, r.pc,
+              ": trace says pc 0x", std::hex, r->pc,
               " but the machine issued pc 0x", fi.pc, std::dec,
               " — the trace was captured from a different program "
               "(capture provenance: ",
               provenance(), ")");
-    return Outcome{0, r.memAddr, r.branchTaken, r.branchTarget};
+    return *r;
 }
 
 obs::CycleClass
@@ -468,9 +457,9 @@ Pipeline::dumpState(std::ostream &os) const
        << ", retired " << _retired.value() << " instruction(s)";
     if (_halted)
         os << " (HALT issued at cycle " << _haltCycle << ")";
-    if (_trace)
+    if (const replay::Trace *trace = _records.trace())
         os << ", next trace record #" << _cursor << " of "
-           << _trace->records.size();
+           << trace->records.size();
     os << "\n";
     const auto latch = [&os](const char *name,
                              const std::optional<isa::FetchedInst> &l) {
@@ -600,7 +589,8 @@ Pipeline::restoreState(StateReader &r)
     _halted = r.b();
     _haltCycle = r.u64();
     _cursor = r.u64();
-    if (_trace && _cursor > _trace->records.size())
+    const replay::Trace *trace = _records.trace();
+    if (trace && _cursor > trace->records.size())
         r.fail("cursor ", _cursor, " past trace end");
     decltype(_retiredPcs) ring;
     for (Addr &pc : ring)

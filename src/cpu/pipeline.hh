@@ -3,20 +3,15 @@
  * The PIPE processor pipeline: Instruction Fetch, Instruction Decode,
  * Instruction Issue, ALU1, ALU2 (paper section 3).
  *
- * The model is execution driven: instructions really execute (ALU
- * results, loads/stores against the backing store, IEEE-754 floating
- * point through the memory-mapped FPU), so kernel outputs can be
- * validated against host references while cycle counts are measured.
- *
- * Timing depends on data values through exactly three channels: a
- * PBR's direction and target, a load/store's effective address, and
- * HALT (which follows from the opcode).  Each issued instruction
- * therefore produces an Outcome from one of two value sources — the
- * executing path computes it, a trace value source reads it from the
- * captured record (docs/trace_replay.md) — and one commit step turns
- * the Outcome into queue, register-timing and branch state.  Trace
- * replay is bit-exact because everything but the value source is the
- * same code.
+ * Values come from the functional executor (cpu/executor.hh) or a
+ * captured trace, through one RecordStream: timing depends on data
+ * values through exactly three channels, a PBR's direction and
+ * target, a load/store's effective address, and HALT (which follows
+ * from the opcode), and each issued instruction takes them from its
+ * record.  The cycle engine and trace replay are bit-exact against
+ * each other because everything but the stream's source is the same
+ * code.  Every value word left in the timing model (registers, queue
+ * data) is a constant.
  *
  * Issue semantics (the timing-relevant part):
  *  - one instruction issues per cycle, in order;
@@ -60,9 +55,11 @@
 namespace pipesim
 {
 
+class RecordStream;
+
 namespace replay
 {
-struct Trace;
+struct TraceRecord;
 } // namespace replay
 
 /** Processor-side configuration. */
@@ -79,15 +76,13 @@ class Pipeline
 {
   public:
     /**
-     * @param trace Optional trace value source.  Null: instructions
-     *              execute.  Non-null: each issued instruction consumes
-     *              the next record, from @p firstRecord on, and takes
-     *              its effective address and branch outcome from it;
-     *              no value is computed.  Which engine builds the
-     *              pipeline decides this, not a user option.
+     * @param records The value source: each issued instruction
+     *                consumes the next record, from @p firstRecord on,
+     *                and takes its effective address and branch
+     *                outcome from it.
      */
     Pipeline(const PipelineConfig &config, FetchUnit &fetch,
-             MemorySystem &mem, const replay::Trace *trace = nullptr,
+             MemorySystem &mem, RecordStream &records,
              std::size_t firstRecord = 0);
     ~Pipeline();
 
@@ -128,13 +123,10 @@ class Pipeline
     /** Cycle at which HALT issued (valid once halted()). */
     Cycle haltCycle() const { return _haltCycle; }
 
-    /**
-     * Index of the next instruction of the dynamic stream: under a
-     * trace value source, the next unconsumed record.
-     */
+    /** Index of the next record: the next instruction to issue. */
     std::size_t cursor() const { return _cursor; }
 
-    /** @return true once a trace value source issued every record. */
+    /** @return true once a captured trace issued every record. */
     bool traceExhausted() const;
 
     RegFile &regs() { return _regs; }
@@ -154,6 +146,16 @@ class Pipeline
      * same cycle.  Pass nullptr to stop accounting.
      */
     void setCpiStack(obs::CpiStack *stack) { _cpiStack = stack; }
+
+    /**
+     * A loop-memo skip copies data addresses from a period earlier:
+     * give each live load and store the address of the record that
+     * issued it, and the memory system's in-flight data requests with
+     * them.  @return how far behind the cursor those records reach, or
+     * nullopt when the stream no longer holds them; with @p apply
+     * false, only measure that.
+     */
+    std::optional<std::size_t> resyncDataAddrs(bool apply);
 
     /** PCs of the most recently issued instructions, oldest first. */
     std::vector<Addr> recentRetiredPcs() const;
@@ -210,19 +212,6 @@ class Pipeline
         SaqFull,
     };
 
-    /**
-     * The value channels of one issued instruction (the Pipe_Op
-     * record): computed by the executing path, or read from the trace
-     * record, then committed by the same code in execute().
-     */
-    struct Outcome
-    {
-        Word result = 0;    //!< ALU result (0 under a trace source)
-        Addr memAddr = 0;   //!< effective address of a load/store
-        bool taken = false; //!< PBR direction
-        Addr target = 0;    //!< PBR target
-    };
-
     StallReason issueHazard(const isa::Instruction &inst, Cycle now) const;
 
     /**
@@ -242,9 +231,9 @@ class Pipeline
     obs::CycleClass countStall(StallReason hazard, Cycle n);
 
     void execute(const isa::FetchedInst &fi, Cycle now);
-    Word readSource(unsigned r);
-    Outcome compute(const isa::Instruction &inst, Word a, Word b);
-    Outcome traced(const isa::FetchedInst &fi) const;
+
+    /** @p fi's record (the Pipe_Op record): its value channels. */
+    const replay::TraceRecord &recorded(const isa::FetchedInst &fi);
 
     /** @return true if the oldest pending memory op is a load. */
     bool loadIsNext() const;
@@ -268,7 +257,7 @@ class Pipeline
     PipelineConfig _cfg;
     FetchUnit &_fetch;
     MemorySystem &_mem;
-    const replay::Trace *_trace;
+    RecordStream &_records;
     DataPort _dataPort;
 
     RegFile _regs;

@@ -32,8 +32,8 @@ aluRIOpcode(unsigned func)
 
 } // namespace
 
-Instruction
-decode(Parcel p1, Parcel p2, FormatMode mode)
+std::optional<Instruction>
+tryDecode(Parcel p1, Parcel p2, FormatMode mode)
 {
     Instruction inst;
     const unsigned a = fieldA(p1);
@@ -87,7 +87,7 @@ decode(Parcel p1, Parcel p2, FormatMode mode)
           case 0: inst.op = Opcode::Mov; break;
           case 1: inst.op = Opcode::Not; break;
           case 2: inst.op = Opcode::Neg; break;
-          default: panic("bad unary function ", a);
+          default: return std::nullopt;
         }
         inst.rd = std::uint8_t(b);
         inst.rs1 = std::uint8_t(c);
@@ -104,7 +104,7 @@ decode(Parcel p1, Parcel p2, FormatMode mode)
           case 0: inst.op = Opcode::Nop; break;
           case 1: inst.op = Opcode::Rsw; break;
           case 2: inst.op = Opcode::Halt; break;
-          default: panic("bad misc function ", a);
+          default: return std::nullopt;
         }
         break;
       case Major::Pbr:
@@ -115,11 +115,19 @@ decode(Parcel p1, Parcel p2, FormatMode mode)
         inst.count = std::uint8_t(d);
         break;
       default:
-        panic("bad major opcode ", majorOf(p1));
+        return std::nullopt;
     }
 
     inst.parcels = std::uint8_t(instParcels(p1, mode));
     return inst;
+}
+
+Instruction
+decode(Parcel p1, Parcel p2, FormatMode mode)
+{
+    if (const auto inst = tryDecode(p1, p2, mode))
+        return *inst;
+    panic("undecodable parcel 0x", std::hex, p1);
 }
 
 } // namespace pipesim::isa

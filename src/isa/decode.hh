@@ -6,6 +6,8 @@
 #ifndef PIPESIM_ISA_DECODE_HH
 #define PIPESIM_ISA_DECODE_HH
 
+#include <optional>
+
 #include "common/types.hh"
 #include "isa/encode.hh"
 #include "isa/instruction.hh"
@@ -24,6 +26,9 @@ namespace pipesim::isa
  *         the instruction occupies under @p mode.
  */
 Instruction decode(Parcel p1, Parcel p2, FormatMode mode);
+
+/** decode(), or nullopt where decode() would panic. */
+std::optional<Instruction> tryDecode(Parcel p1, Parcel p2, FormatMode mode);
 
 } // namespace pipesim::isa
 

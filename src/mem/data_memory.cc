@@ -9,9 +9,25 @@ namespace pipesim
 {
 
 DataMemory::DataMemory(std::size_t size_bytes)
-    : _bytes(size_bytes, 0),
-      _dirty((size_bytes + pageBytes - 1) / pageBytes, false)
+    : _size(size_bytes), _pages((size_bytes + pageBytes - 1) / pageBytes),
+      _dirty(_pages.size(), false)
 {
+}
+
+std::uint8_t
+DataMemory::at(Addr addr) const
+{
+    const Page *page = _pages[addr / pageBytes].get();
+    return page ? (*page)[addr % pageBytes] : 0;
+}
+
+std::uint8_t &
+DataMemory::slot(Addr addr)
+{
+    std::unique_ptr<Page> &page = _pages[addr / pageBytes];
+    if (!page)
+        page = std::make_unique<Page>();
+    return (*page)[addr % pageBytes];
 }
 
 void
@@ -19,12 +35,12 @@ DataMemory::loadProgram(const Program &program)
 {
     const auto &code = program.code();
     checkRange(program.codeBase(), unsigned(code.size()));
-    std::copy(code.begin(), code.end(),
-              _bytes.begin() + program.codeBase());
+    for (std::size_t i = 0; i < code.size(); ++i)
+        slot(Addr(program.codeBase() + i)) = code[i];
     for (const auto &seg : program.dataSegments()) {
         checkRange(seg.base, unsigned(seg.bytes.size()));
-        std::copy(seg.bytes.begin(), seg.bytes.end(),
-                  _bytes.begin() + seg.base);
+        for (std::size_t i = 0; i < seg.bytes.size(); ++i)
+            slot(Addr(seg.base + i)) = seg.bytes[i];
     }
     // The image is the checkpoint baseline: everything written after
     // this point is what saveDirtyPages() captures.
@@ -35,8 +51,8 @@ Word
 DataMemory::readWord(Addr addr) const
 {
     checkRange(addr, wordBytes);
-    return Word(_bytes[addr]) | (Word(_bytes[addr + 1]) << 8) |
-           (Word(_bytes[addr + 2]) << 16) | (Word(_bytes[addr + 3]) << 24);
+    return Word(at(addr)) | (Word(at(addr + 1)) << 8) |
+           (Word(at(addr + 2)) << 16) | (Word(at(addr + 3)) << 24);
 }
 
 void
@@ -44,17 +60,15 @@ DataMemory::writeWord(Addr addr, Word value)
 {
     checkRange(addr, wordBytes);
     markDirty(addr, wordBytes);
-    _bytes[addr] = std::uint8_t(value & 0xff);
-    _bytes[addr + 1] = std::uint8_t((value >> 8) & 0xff);
-    _bytes[addr + 2] = std::uint8_t((value >> 16) & 0xff);
-    _bytes[addr + 3] = std::uint8_t((value >> 24) & 0xff);
+    for (unsigned i = 0; i < wordBytes; ++i)
+        slot(addr + i) = std::uint8_t(value >> (8 * i));
 }
 
 std::uint8_t
 DataMemory::readByte(Addr addr) const
 {
     checkRange(addr, 1);
-    return _bytes[addr];
+    return at(addr);
 }
 
 void
@@ -62,7 +76,7 @@ DataMemory::writeByte(Addr addr, std::uint8_t value)
 {
     checkRange(addr, 1);
     markDirty(addr, 1);
-    _bytes[addr] = value;
+    slot(addr) = value;
 }
 
 void
@@ -86,23 +100,22 @@ DataMemory::dirtyPageCount() const
 void
 DataMemory::saveDirtyPages(StateWriter &w) const
 {
-    w.u64(_bytes.size());
+    static const Page zero{};
+    w.u64(_size);
     w.u32(std::uint32_t(dirtyPageCount()));
     for (std::size_t p = 0; p < _dirty.size(); ++p) {
         if (!_dirty[p])
             continue;
         w.u32(std::uint32_t(p));
-        const std::size_t base = p * pageBytes;
-        const std::size_t len =
-            std::min(pageBytes, _bytes.size() - base);
-        w.bytes(_bytes.data() + base, len);
+        const Page *page = _pages[p] ? _pages[p].get() : &zero;
+        w.bytes(page->data(), std::min(pageBytes, _size - p * pageBytes));
     }
 }
 
 void
 DataMemory::restoreDirtyPages(StateReader &r)
 {
-    if (r.u64() != _bytes.size())
+    if (r.u64() != _size)
         r.fail("data memory size mismatch");
     const std::uint32_t pages = r.u32();
     for (std::uint32_t i = 0; i < pages; ++i) {
@@ -110,9 +123,7 @@ DataMemory::restoreDirtyPages(StateReader &r)
         if (p >= _dirty.size())
             r.fail("dirty page index ", p, " out of range");
         const std::size_t base = std::size_t(p) * pageBytes;
-        const std::size_t len =
-            std::min(pageBytes, _bytes.size() - base);
-        r.bytes(_bytes.data() + base, len);
+        r.bytes(&slot(Addr(base)), std::min(pageBytes, _size - base));
         _dirty[p] = true;
     }
 }
@@ -120,9 +131,9 @@ DataMemory::restoreDirtyPages(StateReader &r)
 void
 DataMemory::checkRange(Addr addr, unsigned bytes) const
 {
-    if (std::size_t(addr) + bytes > _bytes.size())
+    if (std::size_t(addr) + bytes > _size)
         panic("memory access [", addr, ", +", bytes, ") out of range (",
-              _bytes.size(), " bytes backed)");
+              _size, " bytes backed)");
 }
 
 } // namespace pipesim

@@ -1,16 +1,20 @@
 /**
  * @file
- * Flat backing store holding the program image and all data.
+ * Backing store holding the program image and all data.
  *
  * This is the *contents* of the simulated address space; all timing
  * lives in ExternalMemory / MemorySystem.  The memory-mapped FPU
- * range is not backed here (see mem/fpu.hh).
+ * range is not backed here (see mem/fpu.hh).  Pages are allocated on
+ * their first write, so a machine holds only what its program
+ * touches: every sweep worker runs its own executor over one.
  */
 
 #ifndef PIPESIM_MEM_DATA_MEMORY_HH
 #define PIPESIM_MEM_DATA_MEMORY_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/state_io.hh"
@@ -37,7 +41,7 @@ class DataMemory
     std::uint8_t readByte(Addr addr) const;
     void writeByte(Addr addr, std::uint8_t value);
 
-    std::size_t size() const { return _bytes.size(); }
+    std::size_t size() const { return _size; }
 
     /** Default backing size: 1 MiB, plenty for the workloads. */
     static constexpr std::size_t defaultSize = 1u << 20;
@@ -64,10 +68,19 @@ class DataMemory
     void restoreDirtyPages(StateReader &r);
 
   private:
+    using Page = std::array<std::uint8_t, pageBytes>;
+
     void checkRange(Addr addr, unsigned bytes) const;
     void markDirty(Addr addr, unsigned bytes);
 
-    std::vector<std::uint8_t> _bytes;
+    /** The byte at @p addr: 0 on a page never written. */
+    std::uint8_t at(Addr addr) const;
+
+    /** The byte at @p addr, allocating its page. */
+    std::uint8_t &slot(Addr addr);
+
+    std::size_t _size;
+    std::vector<std::unique_ptr<Page>> _pages; //!< null: all zero
     std::vector<bool> _dirty; //!< one bit per pageBytes page
 };
 

@@ -17,6 +17,7 @@
 #ifndef PIPESIM_MEM_EXTERNAL_MEMORY_HH
 #define PIPESIM_MEM_EXTERNAL_MEMORY_HH
 
+#include <algorithm>
 #include <deque>
 #include <iosfwd>
 
@@ -96,6 +97,34 @@ class ExternalMemory
 
     unsigned accessTime() const { return _accessTime; }
     bool pipelined() const { return _pipelined; }
+
+    /** Data stores in flight. */
+    std::size_t
+    dataStores() const
+    {
+        return std::size_t(std::count_if(
+            _inflight.begin(), _inflight.end(), [](const InFlight &f) {
+                return f.req.cls == ReqClass::Data && f.req.isStore;
+            }));
+    }
+
+    /**
+     * Give each in-flight data request the address @p addrOf returns
+     * for it, told how many data stores follow it in the queue (after
+     * a loop-memo skip; see Pipeline::resyncDataAddrs).
+     */
+    template <class AddrOf>
+    void
+    retargetData(AddrOf &&addrOf)
+    {
+        std::size_t storesAfter = 0;
+        for (auto f = _inflight.rbegin(); f != _inflight.rend(); ++f) {
+            if (f->req.cls != ReqClass::Data)
+                continue;
+            f->req.addr = addrOf(f->req, storesAfter);
+            storesAfter += f->req.isStore;
+        }
+    }
 
     /** Write the in-flight queue state (forensic snapshots). */
     void dumpState(std::ostream &os) const;

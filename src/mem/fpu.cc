@@ -26,6 +26,20 @@ FpuDevice::offsetOf(Addr addr)
     return (addr - baseAddr) % kindStride;
 }
 
+Word
+FpuDevice::compute(FpuOp kind, Word a, Word b)
+{
+    const float x = std::bit_cast<float>(a);
+    const float y = std::bit_cast<float>(b);
+    switch (kind) {
+      case FpuOp::Add: return std::bit_cast<Word>(x + y);
+      case FpuOp::Sub: return std::bit_cast<Word>(x - y);
+      case FpuOp::Mul: return std::bit_cast<Word>(x * y);
+      case FpuOp::Div: return std::bit_cast<Word>(x / y);
+      default: panic("bad FPU op");
+    }
+}
+
 void
 FpuDevice::store(Addr addr, Word data, Cycle now)
 {
@@ -35,17 +49,8 @@ FpuDevice::store(Addr addr, Word data, Cycle now)
     if (off == 0) {
         _latchA[k] = data;
     } else if (off == 4) {
-        const float a = std::bit_cast<float>(_latchA[k]);
-        const float b = std::bit_cast<float>(data);
-        float r = 0;
-        switch (kind) {
-          case FpuOp::Add: r = a + b; break;
-          case FpuOp::Sub: r = a - b; break;
-          case FpuOp::Mul: r = a * b; break;
-          case FpuOp::Div: r = a / b; break;
-          default: panic("bad FPU op");
-        }
-        _results[k].push_back(Result{now + _latency, std::bit_cast<Word>(r)});
+        _results[k].push_back(
+            Result{now + _latency, compute(kind, _latchA[k], data)});
         ++_opsStarted;
     } else {
         fatal("store to FPU result address ", addr);

@@ -69,6 +69,19 @@ class FpuDevice
                addr < baseAddr + unsigned(FpuOp::NumOps) * kindStride;
     }
 
+    /** The operation kind of an address in the device window. */
+    static FpuOp kindOf(Addr addr);
+
+    /** The byte offset of @p addr within its kind's window. */
+    static unsigned offsetOf(Addr addr);
+
+    /**
+     * The IEEE-754 single-precision result of @p kind on the operand
+     * bit patterns @p a and @p b (the device's one arithmetic, shared
+     * with the functional executor).
+     */
+    static Word compute(FpuOp kind, Word a, Word b);
+
     /** @param latency Cycles from operand-B store to result ready. */
     explicit FpuDevice(Cycle latency = 4);
 
@@ -169,9 +182,6 @@ class FpuDevice
     {
         MemRequest req;
     };
-
-    static FpuOp kindOf(Addr addr);
-    static unsigned offsetOf(Addr addr);
 
     Cycle _latency;
     std::array<Word, unsigned(FpuOp::NumOps)> _latchA{};

@@ -10,10 +10,9 @@
 namespace pipesim
 {
 
-MemorySystem::MemorySystem(const MemSystemConfig &config,
-                           DataMemory &data_memory)
-    : _config(config), _dataMem(data_memory),
-      _extMem(config.accessTime, config.pipelined), _fpu(config.fpuLatency)
+MemorySystem::MemorySystem(const MemSystemConfig &config)
+    : _config(config), _extMem(config.accessTime, config.pipelined),
+      _fpu(config.fpuLatency)
 {
     PIPESIM_ASSERT(config.busWidthBytes >= wordBytes,
                    "input bus must be at least one word wide");
@@ -88,8 +87,7 @@ MemorySystem::serviceDcache(Cycle now)
     _dcache->recordLookup(true);
     ++_dcacheHits;
     // Copy before accepted(): acceptance resets the client's storage.
-    _localResponses.push_back(
-        LocalResponse{*req, _dataMem.readWord(req->addr), now + 1});
+    _localResponses.push_back(LocalResponse{*req, 0, now + 1});
     _dataClient->accepted();
     return true;
 }
@@ -254,17 +252,16 @@ MemorySystem::tryAccept(MemClient &client, Cycle now)
         return true;
     }
 
+    // Data requests are accepted in program order, a store applying
+    // and a load reading here: the functional executor's sequential
+    // values are exactly a timed run's (cpu/executor.hh).  The values
+    // themselves live there; loads deliver 0.
     if (req.isStore) {
-        // Applied now; later loads are accepted later in program
-        // order and capture their values at acceptance, so ordering
-        // is preserved.
-        _dataMem.writeWord(req.addr, req.storeData);
         // Write-through: update the data cache only if present.
         if (_dcache && _dcache->linePresent(req.addr))
             _dcache->fill(Addr(alignDown(req.addr, wordBytes)),
                           wordBytes);
     } else if (req.cls == ReqClass::Data) {
-        req.loadData = _dataMem.readWord(req.addr);
         // Miss fill (word granular, allocating the line frame).
         if (_dcache) {
             if (!_dcache->linePresent(req.addr))

@@ -27,7 +27,6 @@
 #include "common/state_io.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/data_memory.hh"
 #include "mem/external_memory.hh"
 #include "mem/fpu.hh"
 #include "cache/subblock_cache.hh"
@@ -60,7 +59,7 @@ struct MemSystemConfig
 class MemorySystem
 {
   public:
-    MemorySystem(const MemSystemConfig &config, DataMemory &data_memory);
+    explicit MemorySystem(const MemSystemConfig &config);
 
     /**
      * Register the CPU's data-queue request source; Data-class
@@ -130,7 +129,6 @@ class MemorySystem
     FpuDevice &fpu() { return _fpu; }
     const FpuDevice &fpu() const { return _fpu; }
     ExternalMemory &externalMemory() { return _extMem; }
-    DataMemory &dataMemory() { return _dataMem; }
 
     const MemSystemConfig &config() const { return _config; }
 
@@ -149,6 +147,26 @@ class MemorySystem
     bool hasDcache() const { return _dcache.has_value(); }
     const SubblockCache &dcache() const { return *_dcache; }
 
+    /** Data stores the external memory holds. */
+    std::size_t dataStoresInFlight() const { return _extMem.dataStores(); }
+
+    /**
+     * ExternalMemory::retargetData, and the input bus's data transfer
+     * too (a device address is never stale).
+     */
+    template <class AddrOf>
+    void
+    retargetData(AddrOf &&addrOf)
+    {
+        _extMem.retargetData(addrOf);
+        if (_transfer && _transfer->req.cls == ReqClass::Data &&
+            !FpuDevice::contains(_transfer->req.addr)) {
+            const Addr addr = addrOf(_transfer->req, 0);
+            _transfer->nextAddr += addr - _transfer->req.addr;
+            _transfer->req.addr = addr;
+        }
+    }
+
     /** True if no request is in flight anywhere in the system. */
     bool quiescent() const;
 
@@ -159,8 +177,7 @@ class MemorySystem
 
     /**
      * Serialize the full memory-side state (busses, external memory,
-     * FPU, data cache, counters) for a checkpoint.  DataMemory
-     * contents are saved separately by the owner (it is shared).
+     * FPU, data cache, counters) for a checkpoint.
      */
     void saveState(StateWriter &w) const;
 
@@ -216,7 +233,6 @@ class MemorySystem
     void noteContention(Cycle now, ReqClass cls);
 
     MemSystemConfig _config;
-    DataMemory &_dataMem;
     ExternalMemory _extMem;
     FpuDevice _fpu;
 

@@ -127,9 +127,8 @@ struct CycleClassEvent
  *
  * The annotation fields carry the outcomes that cannot be re-derived
  * from the program image alone — the effective address of a
- * load/store and the resolved direction/target of a PBR.  They are
- * what the trace capture layer (replay/capture.hh) records so a
- * trace-driven replay can reproduce the run without executing values.
+ * load/store and the resolved direction/target of a PBR — as the
+ * instruction's record (replay::TraceRecord) holds them.
  */
 struct RetireEvent
 {

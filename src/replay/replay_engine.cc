@@ -6,7 +6,6 @@
 #include <future>
 #include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -162,11 +161,10 @@ forEachWindow(std::size_t count, unsigned jobs, const Job &job)
 
 /**
  * The cold pass: each window warms up from its sync point, then runs
- * its measured span.  Serially (@p jobs <= 1) the windows share one
- * DataMemory (stale values from an earlier window are harmless — only
- * addresses reach the timing model) and stop at the first window
- * whose warm-up runs off the trace end; pooled, each window owns one
- * (a shared store would race).  With @p save set (serial only) this
+ * its measured span.  The windows share one DataMemory, which a
+ * trace-driven machine never reads or writes; serially (@p jobs <= 1)
+ * they stop at the first window whose warm-up runs off the trace end.
+ * With @p save set (serial only) this
  * is the checkpoint-create pass: each window's machine state and the
  * backing store's dirty pages are snapshotted at the warm end, right
  * where the restore pass will resume.
@@ -177,11 +175,8 @@ runColdWindows(const SimConfig &config, const Program &program,
                bool prof, unsigned jobs, CheckpointSet *save)
 {
     auto &registry = obs::MetricsRegistry::instance();
-    std::optional<DataMemory> shared;
-    if (jobs <= 1) {
-        shared.emplace();
-        shared->loadProgram(program);
-    }
+    DataMemory dataMem;
+    dataMem.loadProgram(program);
     bool ranDry = false; // written by the serial pass only
 
     std::vector<WindowOutcome> outcomes(plan.size());
@@ -190,16 +185,10 @@ runColdWindows(const SimConfig &config, const Program &program,
             return;
         const SampleWindow &win = plan[i];
         WindowOutcome &out = outcomes[i];
-        std::optional<DataMemory> own;
-        if (!shared) {
-            own.emplace();
-            own->loadProgram(program);
-        }
-        DataMemory &dataMem = shared ? *shared : *own;
         Simulator m(config, program, dataMem, &trace, win.start);
         m.fetchUnit().reset(trace.records[win.start].pc);
         if (!runWarmup(m, win.warmEnd, prof, out)) {
-            ranDry = shared.has_value();
+            ranDry = jobs <= 1;
             return;
         }
         if (save) {

@@ -57,10 +57,8 @@ struct ReplayOptions
     /**
      * Worker threads for sampled windows (0 resolves like --jobs:
      * PIPESIM_JOBS, then hardware concurrency).  Results are
-     * bit-identical for any value; a count that resolves to 1 keeps
-     * the single-threaded path that shares one DataMemory across
-     * windows.  Ignored by the
-     * exact mode and forced to 1 while creating checkpoints.
+     * bit-identical for any value.  Ignored by the exact mode and
+     * forced to 1 while creating checkpoints.
      */
     unsigned jobs = 1;
 

@@ -45,14 +45,15 @@ Simulator::Simulator(const SimConfig &config, const Program &program,
 void
 Simulator::build(const replay::Trace *trace, std::size_t firstRecord)
 {
-    _mem = std::make_unique<MemorySystem>(_config.mem, _dataMem);
+    _mem = std::make_unique<MemorySystem>(_config.mem);
 
     _fetch = makeFetchUnit(_config.fetch, _program, *_mem);
 
+    _records = trace ? std::make_unique<RecordStream>(*trace)
+                     : std::make_unique<RecordStream>(_program, _dataMem);
     _pipeline = std::make_unique<Pipeline>(_config.cpu, *_fetch, *_mem,
-                                           trace, firstRecord);
-    if (trace)
-        _memo = std::make_unique<LoopMemo>(*trace);
+                                           *_records, firstRecord);
+    _memo = std::make_unique<LoopMemo>(*_records);
 
     _pipeline->setProbes(&_probes);
     _fetch->setProbes(&_probes);
@@ -239,9 +240,9 @@ Simulator::runUntil(std::size_t record)
 {
     // Gating and skipping are exact only when no one watches single cycles.
     const bool gate = !_probes.anyActive();
-    // The memo also needs the trace's control flow, and a timing model
-    // that compares no data addresses: the data cache does.
-    const bool memo = gate && _memo && !_mem->hasDcache();
+    // The memo also needs a timing model that compares no data
+    // addresses: the data cache does.
+    const bool memo = gate && !_mem->hasDcache();
     withSnapshot(*this, [this, record, gate, memo] {
         while (!done() && _pipeline->cursor() < record) {
             const std::size_t issued = _pipeline->cursor();
@@ -264,6 +265,11 @@ Simulator::memoize(std::size_t record)
     const std::size_t cursor = _pipeline->cursor();
     if (!_memo->boundary(cursor))
         return;
+    // The records that give live loads and stores their addresses
+    // after a skip must still be there.
+    const auto span = _pipeline->resyncDataAddrs(false);
+    if (!span)
+        return;
     StateWriter w(_now, &FpuDevice::contains);
     saveState(w);
     LoopMemo::Boundary b;
@@ -276,12 +282,14 @@ Simulator::memoize(std::size_t record)
     // repeats the retire gaps of the two observed ones, which did not
     // trip the progress window: landing at or before maxCycles aborts
     // where ticking would.
-    const auto next = _memo->offer(std::move(b), record, _config.maxCycles);
+    const auto next =
+        _memo->offer(std::move(b), record, _config.maxCycles, *span);
     if (!next)
         return;
     StateReader r(*next, "loop memo");
     restoreState(r);
     r.expectEnd();
+    _pipeline->resyncDataAddrs(true);
 }
 
 MachineSnapshot
@@ -325,12 +333,20 @@ Simulator::restoreState(StateReader &r)
     _lastProgressCycle = r.u64();
     _lastRetired = r.u64();
     _pipeline->restoreState(r);
+    const std::size_t cursor = _pipeline->cursor();
+    // At most one instruction issues a cycle: a cursor above the clock
+    // is corrupt, and the executor must not run to it.
+    if (!_records->trace() && cursor > _now)
+        r.fail("cursor ", cursor, " above the clock ", _now);
     _fetch->restoreState(r);
     _mem->restoreState(r);
     if (r.b()) {
         obs::CpiStack discard;
         (_cpiStack ? *_cpiStack : discard).restoreState(r);
     }
+    if (!_records->seek(cursor))
+        r.fail("cursor ", cursor, " past the program's record stream (",
+               _records->endReason(), ")");
 }
 
 SimResult

@@ -2,10 +2,12 @@
  * @file
  * Top-level simulator: wires a program, a fetch strategy, the
  * pipeline and the memory system together and runs to completion.
- * The one machine of both engines: the cycle engine builds it with
- * an executing pipeline, the trace-replay engine with a trace value
- * source (replay/replay_engine.hh), so ticks, watchdogs, forensic
- * snapshots and checkpoints exist once.
+ * The one machine of both engines: its pipeline reads every value
+ * from a record stream, which the cycle engine fills with the
+ * functional executor (cpu/executor.hh) and the trace-replay engine
+ * with a captured trace (replay/replay_engine.hh), so ticks,
+ * watchdogs, forensic snapshots, checkpoints and the loop memo exist
+ * once.
  *
  * Tick order within a cycle: fetch unit (buffer management, request
  * generation) -> memory system (output-bus acceptance, input-bus
@@ -24,10 +26,10 @@
  * counts in bulk.  Results are identical to ticking every cycle
  * (docs/internals.md, "Tick gating").
  *
- * Loop memo: a machine with a trace value source also jumps over
- * whole loop iterations that repeat the previous ones, by restoring a
- * checkpoint extrapolated from the last two (sim/loop_memo.hh;
- * docs/internals.md, "Loop memo").
+ * Loop memo: runUntil() also jumps over whole loop iterations that
+ * repeat the previous ones, by restoring a checkpoint extrapolated
+ * from the last two (sim/loop_memo.hh; docs/internals.md, "Loop
+ * memo").
  */
 
 #ifndef PIPESIM_SIM_SIMULATOR_HH
@@ -87,14 +89,18 @@ struct SimResult
 class Simulator
 {
   public:
-    /** A machine with its own backing store, loaded with @p program. */
+    /**
+     * A cycle-engine machine: the executor runs @p program over the
+     * machine's own backing store.
+     */
     Simulator(const SimConfig &config, const Program &program);
 
     /**
      * A machine over a caller-owned backing store, which the caller
      * has loaded (sampled replay windows share one instead of zeroing
-     * a fresh megabyte each), optionally driven by a trace value
-     * source from record @p firstRecord on (see Pipeline).
+     * a fresh megabyte each): driven by @p trace from record
+     * @p firstRecord on, or without one by the executor over
+     * @p dataMem.
      */
     Simulator(const SimConfig &config, const Program &program,
               DataMemory &dataMem, const replay::Trace *trace = nullptr,
@@ -109,9 +115,8 @@ class Simulator
      * zero host-profiling cost: the replay engine attributes its own
      * phases, and pooled windows must not touch the profiler from
      * worker threads.  It gates ticks and skips idle cycles unless a
-     * probe listener is attached; on those terms, a machine with a
-     * trace value source and no data cache also skips repeating loop
-     * iterations.
+     * probe listener is attached; on those terms, a machine with no
+     * data cache also skips repeating loop iterations.
      * @throws SimAbort carrying a machine snapshot.
      */
     void runUntil(std::size_t record);
@@ -164,16 +169,20 @@ class Simulator
     /**
      * Serialize the machine's full warm state (clock, watchdog
      * bookkeeping, pipeline, fetch unit, memory system, CPI stack).
-     * The DataMemory's contents are NOT included — a checkpoint
-     * captures its dirty pages separately, since a borrowed backing
-     * store outlives any one machine.
+     * Neither the DataMemory's contents nor the executor's state are
+     * included: a checkpoint captures the dirty pages separately,
+     * since a borrowed backing store outlives any one machine, and the
+     * executor's state follows from the cursor.
      */
     void saveState(StateWriter &w) const;
 
     /**
      * Restore state written by saveState() into this machine, which
      * must have been built with the same config, program, trace and
-     * first record that produced the snapshot.
+     * first record that produced the snapshot.  An executor moves to
+     * the restored cursor, forward by executing, backward from the
+     * entry over the reloaded image; the backing store then holds the
+     * stores of exactly the records before the cursor.
      */
     void restoreState(StateReader &r);
 
@@ -217,9 +226,10 @@ class Simulator
     obs::ProbeBus _probes;
     std::unique_ptr<MemorySystem> _mem;
     std::unique_ptr<FetchUnit> _fetch;
+    std::unique_ptr<RecordStream> _records;
     std::unique_ptr<Pipeline> _pipeline;
     std::unique_ptr<obs::CpiStack> _cpiStack;
-    std::unique_ptr<LoopMemo> _memo; //!< under a trace value source
+    std::unique_ptr<LoopMemo> _memo;
     StatGroup _stats;
 
     Cycle _now = 0;

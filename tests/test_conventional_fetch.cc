@@ -16,10 +16,9 @@ struct Harness
 {
     Harness(const std::string &src, FetchConfig fcfg,
             MemSystemConfig mcfg = {})
-        : program(assembler::assemble(src)), dataMem(1 << 16),
-          sys(mcfg, dataMem), unit(fcfg, program, sys)
+        : program(assembler::assemble(src)), sys(mcfg),
+          unit(fcfg, program, sys)
     {
-        dataMem.loadProgram(program);
     }
 
     void
@@ -42,7 +41,6 @@ struct Harness
     }
 
     Program program;
-    DataMemory dataMem;
     MemorySystem sys;
     ConventionalFetchUnit unit;
     Cycle now = 0;

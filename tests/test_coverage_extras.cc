@@ -213,6 +213,5 @@ TEST(DcacheGeometry, BadSizesRejected)
 {
     SimConfig cfg;
     cfg.mem.dcacheBytes = 100; // not a power of two
-    DataMemory dm(1 << 16);
-    EXPECT_THROW(MemorySystem(cfg.mem, dm), FatalError);
+    EXPECT_THROW(MemorySystem{cfg.mem}, FatalError);
 }

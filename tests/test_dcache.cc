@@ -55,8 +55,7 @@ TEST(DataCacheExt, DisabledByDefault)
 {
     Program p = assembler::assemble("halt");
     SimConfig cfg;
-    DataMemory dm(1 << 16);
-    MemorySystem mem(cfg.mem, dm);
+    MemorySystem mem(cfg.mem);
     EXPECT_FALSE(mem.hasDcache());
 }
 

@@ -165,7 +165,9 @@ TEST_P(LoopMemo, TraceMachineMatchesCycleEngine)
     const SimConfig &cfg = GetParam().cfg;
     const Workload &w = livermore();
 
+    // A listener keeps the cycle engine unmemoized: the reference.
     Simulator cycle(cfg, w.program);
+    cycle.probes().retire.connect([](const obs::RetireEvent &) {});
     const SimResult want = cycle.run();
 
     TraceMachine memo(cfg, w, false);

@@ -19,10 +19,9 @@ struct Harness
 {
     Harness(const std::string &src, FetchConfig fcfg,
             MemSystemConfig mcfg = {})
-        : program(assembler::assemble(src)), dataMem(1 << 16),
-          sys(mcfg, dataMem), unit(fcfg, program, sys)
+        : program(assembler::assemble(src)), sys(mcfg),
+          unit(fcfg, program, sys)
     {
-        dataMem.loadProgram(program);
     }
 
     void
@@ -49,7 +48,6 @@ struct Harness
     }
 
     Program program;
-    DataMemory dataMem;
     MemorySystem sys;
     PipeFetchUnit unit;
     Cycle now = 0;
@@ -318,9 +316,8 @@ TEST(PipeFetch, SquashDiscardsWrongPathBytes)
 TEST(PipeFetch, ConfigValidation)
 {
     Program p = assembler::assemble("halt");
-    DataMemory dm(1 << 16);
     MemSystemConfig mcfg;
-    MemorySystem sys(mcfg, dm);
+    MemorySystem sys(mcfg);
 
     FetchConfig bad = cfg1616();
     bad.iqbBytes = 8; // smaller than the 16-byte line

@@ -19,10 +19,9 @@ struct Harness
 {
     Harness(const std::string &src, FetchConfig fcfg,
             MemSystemConfig mcfg = {})
-        : program(assembler::assemble(src)), dataMem(1 << 16),
-          sys(mcfg, dataMem), unit(fcfg, program, sys)
+        : program(assembler::assemble(src)), sys(mcfg),
+          unit(fcfg, program, sys)
     {
-        dataMem.loadProgram(program);
     }
 
     void
@@ -45,7 +44,6 @@ struct Harness
     }
 
     Program program;
-    DataMemory dataMem;
     MemorySystem sys;
     TibFetchUnit unit;
     Cycle now = 0;
@@ -166,9 +164,8 @@ TEST(TibFetch, EveryInstructionTravelsTheBus)
 TEST(TibFetch, GeometryValidation)
 {
     Program p = assembler::assemble("halt");
-    DataMemory dm(1 << 16);
     MemSystemConfig mcfg;
-    MemorySystem sys(mcfg, dm);
+    MemorySystem sys(mcfg);
 
     FetchConfig bad = tibCfg();
     bad.lineBytes = 12; // not a power of two
