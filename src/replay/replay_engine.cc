@@ -32,9 +32,15 @@ namespace pipesim::replay
 namespace
 {
 
-void
-checkReplayable(const Program &program, const Trace &trace)
+/**
+ * The trace-level checks, then the sampling plan (empty in the exact
+ * mode): what every configuration's replay shares.
+ */
+std::vector<SampleWindow>
+planFor(const Program &program, const Trace &trace,
+        const ReplayOptions &opt)
 {
+    obs::ScopedPhase phase("replay.prepare", obs::Scope::Coarse);
     const std::string hash = programSha256(program);
     if (hash != trace.meta.programSha256)
         fatal("trace was captured from a different program: trace "
@@ -44,28 +50,19 @@ checkReplayable(const Program &program, const Trace &trace)
               trace.meta.provenance.empty() ? "none"
                                             : trace.meta.provenance,
               ")");
-}
-
-SimResult
-replayExact(const SimConfig &config, const Program &program,
-            const Trace &trace)
-{
-    obs::ScopedPhase phase("replay.exact", obs::Scope::Coarse);
-    DataMemory dataMem;
-    dataMem.loadProgram(program);
-    Simulator sim(config, program, dataMem, &trace);
-    sim.runUntil(std::numeric_limits<std::size_t>::max());
-    if (!sim.pipeline().traceExhausted())
-        fatal("trace replay halted after ", sim.pipeline().cursor(),
-              " instructions but the trace holds ",
-              trace.records.size(),
-              " — the trace does not match this program");
-
-    SimResult r = sim.result();
-    r.meta["engine"] = "trace-exact";
-    r.meta["trace_sha256"] = trace.sha256;
-    r.meta["program_sha256"] = trace.meta.programSha256;
-    return r;
+    if (trace.records.empty())
+        fatal("trace replay: the trace holds no records");
+    if (opt.samplePeriod == 0)
+        return {};
+    if (opt.sampleMeasure == 0)
+        fatal("trace replay: sampleMeasure must be nonzero");
+    if (std::uint64_t(opt.sampleWarmup) + opt.sampleMeasure >
+        opt.samplePeriod)
+        fatal("trace replay: samplePeriod (", opt.samplePeriod,
+              ") must cover warmup (", opt.sampleWarmup,
+              ") + measure (", opt.sampleMeasure, ")");
+    return planSampleWindows(trace.records.size(),
+                             computeSyncPoints(program, trace), opt);
 }
 
 /**
@@ -161,7 +158,7 @@ forEachWindow(std::size_t count, unsigned jobs, const Job &job)
 
 /**
  * The cold pass: each window warms up from its sync point, then runs
- * its measured span.  The windows share one DataMemory, which a
+ * its measured span.  The windows share one empty DataMemory, which a
  * trace-driven machine never reads or writes; serially (@p jobs <= 1)
  * they stop at the first window whose warm-up runs off the trace end.
  * With @p save set (serial only) this
@@ -176,7 +173,6 @@ runColdWindows(const SimConfig &config, const Program &program,
 {
     auto &registry = obs::MetricsRegistry::instance();
     DataMemory dataMem;
-    dataMem.loadProgram(program);
     bool ranDry = false; // written by the serial pass only
 
     std::vector<WindowOutcome> outcomes(plan.size());
@@ -188,7 +184,8 @@ runColdWindows(const SimConfig &config, const Program &program,
         Simulator m(config, program, dataMem, &trace, win.start);
         m.fetchUnit().reset(trace.records[win.start].pc);
         if (!runWarmup(m, win.warmEnd, prof, out)) {
-            ranDry = jobs <= 1;
+            if (jobs <= 1)
+                ranDry = true;
             return;
         }
         if (save) {
@@ -308,24 +305,49 @@ runCheckpointedWindows(const SimConfig &config, const Program &program,
     return outcomes;
 }
 
-SimResult
-replaySampled(const SimConfig &config, const Program &program,
-              const Trace &trace, const ReplayOptions &opt)
-{
-    if (opt.sampleMeasure == 0)
-        fatal("trace replay: sampleMeasure must be nonzero");
-    if (std::uint64_t(opt.sampleWarmup) + opt.sampleMeasure >
-        opt.samplePeriod)
-        fatal("trace replay: samplePeriod (", opt.samplePeriod,
-              ") must cover warmup (", opt.sampleWarmup,
-              ") + measure (", opt.sampleMeasure, ")");
+} // namespace
 
+PreparedReplay::PreparedReplay(const Program &program, const Trace &trace,
+                               const ReplayOptions &options)
+    : _program(program), _trace(trace), _options(options),
+      _plan(planFor(program, trace, options))
+{
+}
+
+SimResult
+PreparedReplay::replay(const SimConfig &config) const
+{
+    return _options.samplePeriod == 0 ? replayExact(config)
+                                      : replaySampled(config);
+}
+
+SimResult
+PreparedReplay::replayExact(const SimConfig &config) const
+{
+    obs::ScopedPhase phase("replay.exact", obs::Scope::Coarse);
+    // Nothing reads the backing store: the trace supplies every
+    // effective address and branch outcome.
+    DataMemory dataMem;
+    Simulator sim(config, _program, dataMem, &_trace);
+    sim.runUntil(std::numeric_limits<std::size_t>::max());
+    if (!sim.pipeline().traceExhausted())
+        fatal("trace replay halted after ", sim.pipeline().cursor(),
+              " instructions but the trace holds ",
+              _trace.records.size(),
+              " — the trace does not match this program");
+
+    SimResult r = sim.result();
+    r.meta["engine"] = "trace-exact";
+    r.meta["trace_sha256"] = _trace.sha256;
+    r.meta["program_sha256"] = _trace.meta.programSha256;
+    return r;
+}
+
+SimResult
+PreparedReplay::replaySampled(const SimConfig &config) const
+{
     obs::ScopedPhase samplePhase("replay.sampled", obs::Scope::Coarse);
-    const std::size_t total = trace.records.size();
-    const std::vector<std::size_t> syncPoints =
-        computeSyncPoints(program, trace);
-    const std::vector<SampleWindow> plan =
-        planSampleWindows(total, syncPoints, opt);
+    const std::size_t total = _trace.records.size();
 
     // Warm-up vs measurement attribution across all windows (the
     // paper's sampling cost model: warm-up is pure overhead).  The
@@ -333,7 +355,7 @@ replaySampled(const SimConfig &config, const Program &program,
     const bool prof = obs::Profiler::enabled();
     obs::CachedPhase warmPhase, measurePhase, ckptPhase;
 
-    const bool useCkpt = !opt.ckptDir.empty();
+    const bool useCkpt = !_options.ckptDir.empty();
     std::string ckptMode = "off";
     if (useCkpt) {
         // Touch the checkpoint metrics before any window runs so the
@@ -344,47 +366,47 @@ replaySampled(const SimConfig &config, const Program &program,
         registry.counter("replay.ckpt.windows_restored");
         registry.counter("replay.ckpt.bytes_written");
         registry.counter("replay.ckpt.bytes_read");
-        ckptMode = opt.ckptCreate ? "create" : "restore";
+        ckptMode = _options.ckptCreate ? "create" : "restore";
     }
     if (prof) {
         warmPhase = obs::CachedPhase("window.warmup");
         measurePhase = obs::CachedPhase("window.measure");
         if (useCkpt)
-            ckptPhase = obs::CachedPhase(opt.ckptCreate
+            ckptPhase = obs::CachedPhase(_options.ckptCreate
                                              ? "replay.ckpt.save"
                                              : "replay.ckpt.restore");
     }
 
     std::vector<WindowOutcome> outcomes;
-    if (useCkpt && opt.ckptCreate) {
+    if (useCkpt && _options.ckptCreate) {
         // The create pass IS the serial sampled run, plus snapshots:
         // every window's state at its warm end is exactly what the
         // serial path computes, which is what makes restored results
         // bit-identical by construction.
         CheckpointSet set;
-        set.meta.traceSha256 = trace.sha256;
-        set.meta.programSha256 = trace.meta.programSha256;
+        set.meta.traceSha256 = _trace.sha256;
+        set.meta.programSha256 = _trace.meta.programSha256;
         set.meta.configSha256 = configSha256(config);
-        set.meta.samplePeriod = opt.samplePeriod;
-        set.meta.sampleWarmup = opt.sampleWarmup;
-        set.meta.sampleMeasure = opt.sampleMeasure;
+        set.meta.samplePeriod = _options.samplePeriod;
+        set.meta.sampleWarmup = _options.sampleWarmup;
+        set.meta.sampleMeasure = _options.sampleMeasure;
         set.meta.traceRecords = total;
         set.meta.provenance =
             "pipesim live-points: " + config.fetchName();
-        outcomes = runColdWindows(config, program, trace, plan, prof, 1,
-                                  &set);
-        writeCheckpoint(set, checkpointPath(opt.ckptDir, config));
+        outcomes = runColdWindows(config, _program, _trace, _plan, prof,
+                                  1, &set);
+        writeCheckpoint(set, checkpointPath(_options.ckptDir, config));
     } else if (useCkpt) {
-        const std::string path = checkpointPath(opt.ckptDir, config);
+        const std::string path = checkpointPath(_options.ckptDir, config);
         const CheckpointSet set = readCheckpoint(path);
-        checkCheckpointUsable(set, trace, configSha256(config), opt,
-                              plan, path);
-        outcomes = runCheckpointedWindows(config, program, trace, plan,
-                                          prof, resolveJobCount(opt.jobs),
-                                          set);
+        checkCheckpointUsable(set, _trace, configSha256(config), _options,
+                              _plan, path);
+        outcomes = runCheckpointedWindows(
+            config, _program, _trace, _plan, prof,
+            resolveJobCount(_options.jobs), set);
     } else {
-        outcomes = runColdWindows(config, program, trace, plan, prof,
-                                  resolveJobCount(opt.jobs), nullptr);
+        outcomes = runColdWindows(config, _program, _trace, _plan, prof,
+                                  resolveJobCount(_options.jobs), nullptr);
     }
 
     // Accumulate in plan order: every execution strategy feeds the
@@ -415,7 +437,7 @@ replaySampled(const SimConfig &config, const Program &program,
     if (measuredInsts == 0)
         fatal("trace replay: sampling produced no measured "
               "instructions (trace of ", total,
-              " records, period ", opt.samplePeriod, ")");
+              " records, period ", _options.samplePeriod, ")");
 
     // Ratio estimator for the point value; the CI comes from the
     // spread of the per-window CPIs (CLT over systematic windows).
@@ -439,11 +461,11 @@ replaySampled(const SimConfig &config, const Program &program,
     r.instructions = total;
     r.counters = std::move(measuredCounters);
     r.meta["engine"] = "trace-sampled";
-    r.meta["trace_sha256"] = trace.sha256;
-    r.meta["program_sha256"] = trace.meta.programSha256;
-    r.meta["sample_period"] = std::to_string(opt.samplePeriod);
-    r.meta["sample_warmup"] = std::to_string(opt.sampleWarmup);
-    r.meta["sample_measure"] = std::to_string(opt.sampleMeasure);
+    r.meta["trace_sha256"] = _trace.sha256;
+    r.meta["program_sha256"] = _trace.meta.programSha256;
+    r.meta["sample_period"] = std::to_string(_options.samplePeriod);
+    r.meta["sample_warmup"] = std::to_string(_options.sampleWarmup);
+    r.meta["sample_measure"] = std::to_string(_options.sampleMeasure);
     r.meta["sample_windows"] = std::to_string(windowCpis.size());
     r.meta["sampled_instructions"] = std::to_string(measuredInsts);
     r.meta["cpi_estimate"] = std::to_string(cpi);
@@ -454,8 +476,6 @@ replaySampled(const SimConfig &config, const Program &program,
     r.meta["counters_scope"] = "measured_windows";
     return r;
 }
-
-} // namespace
 
 std::vector<std::size_t>
 computeSyncPoints(const Program &program, const Trace &trace)
@@ -563,12 +583,7 @@ SimResult
 replayTrace(const SimConfig &config, const Program &program,
             const Trace &trace, const ReplayOptions &options)
 {
-    checkReplayable(program, trace);
-    if (trace.records.empty())
-        fatal("trace replay: the trace holds no records");
-    if (options.samplePeriod == 0)
-        return replayExact(config, program, trace);
-    return replaySampled(config, program, trace, options);
+    return PreparedReplay(program, trace, options).replay(config);
 }
 
 } // namespace pipesim::replay

@@ -21,6 +21,14 @@
  *    (no load data or store data crossing the window boundary), so a
  *    window can never deadlock on queue state it did not observe.
  *
+ * Everything that depends on the trace and not on the machine is
+ * done once, by PreparedReplay: the program-hash check, the
+ * empty-trace and sampling-parameter checks, and, when sampling, the
+ * sync-point scan and the window plan.  Its replay(config) only
+ * builds and runs machines, so a sweep prepares its trace once and
+ * every point (on any worker) shares the prepared object; replayTrace
+ * is "prepare, then replay one config".
+ *
  * Sampled replay is plan/execute split: planSampleWindows() first
  * enumerates the (deduplicated) measurement windows, then the windows
  * run as independent jobs — serially, on a thread pool (jobs > 1), or
@@ -111,18 +119,62 @@ planSampleWindows(std::size_t totalRecords,
                   const ReplayOptions &opt);
 
 /**
- * Replay @p trace through the machine described by @p config.
+ * A trace checked and planned for replay through any machine
+ * configuration.  Immutable once built: replay() is const and may run
+ * on many threads at once.  It refers to @p program and @p trace,
+ * which must outlive it.
+ */
+class PreparedReplay
+{
+  public:
+    /**
+     * Check that @p trace replays @p program, and, when @p options
+     * samples, check the windowing, scan the sync points and plan the
+     * windows.
+     *
+     * @throws FatalError when the trace was not captured from
+     *         @p program (hash mismatch, or a record naming a pc that
+     *         does not decode), when it holds no records, or when the
+     *         sampling parameters cannot form a window.
+     */
+    PreparedReplay(const Program &program, const Trace &trace,
+                   const ReplayOptions &options = {});
+
+    /**
+     * Replay the trace through the machine described by @p config.
+     *
+     * The result's counters use the same names as the cycle
+     * simulator's; result.meta records the engine, the trace and
+     * program hashes, and (when sampling) the window parameters and
+     * the CPI confidence interval ("n/a" when fewer than two windows
+     * were measured).
+     *
+     * @throws FatalError when the trace diverges from the program
+     *         during the run, or when a requested checkpoint is
+     *         missing, corrupt or keyed to a different (trace,
+     *         program, config, sampling) tuple.
+     * @throws SimAbort on the same watchdogs as the cycle simulator.
+     */
+    SimResult replay(const SimConfig &config) const;
+
+  private:
+    SimResult replayExact(const SimConfig &config) const;
+    SimResult replaySampled(const SimConfig &config) const;
+
+    const Program &_program;
+    const Trace &_trace;
+    const ReplayOptions _options;
+    /** The sampling windows; empty in the exact mode. */
+    const std::vector<SampleWindow> _plan;
+};
+
+/**
+ * Replay @p trace through the machine described by @p config:
+ * PreparedReplay(program, trace, options).replay(config).  A caller
+ * replaying one trace through many configurations should prepare it
+ * once instead.
  *
- * The result's counters use the same names as the cycle simulator's;
- * result.meta records the engine, the trace and program hashes, and
- * (when sampling) the window parameters and the CPI confidence
- * interval ("n/a" when fewer than two windows were measured).
- *
- * @throws FatalError when the trace was not captured from @p program
- *         (hash mismatch or per-record divergence), or when a
- *         requested checkpoint is missing, corrupt or keyed to
- *         a different (trace, program, config, sampling) tuple.
- * @throws SimAbort on the same watchdogs as the cycle simulator.
+ * @throws FatalError and SimAbort as PreparedReplay and its replay().
  */
 SimResult replayTrace(const SimConfig &config, const Program &program,
                       const Trace &trace,

@@ -56,19 +56,24 @@ inline constexpr std::uint32_t traceFormatVersion = 1;
 /** Records per chunk used by the encoder. */
 inline constexpr std::uint32_t traceChunkRecords = 4096;
 
-/** One committed instruction, with its timing-relevant outcomes. */
+/**
+ * One committed instruction, with its timing-relevant outcomes.  The
+ * addresses come first and the flags after them, so a record packs
+ * into 16 bytes with no padding (a sweep holds whole traces).
+ */
 struct TraceRecord
 {
     Addr pc = 0;
+    Addr memAddr = 0;         //!< effective address
+    Addr branchTarget = 0;
     bool hasMemAddr = false;  //!< load/store; memAddr is valid
     bool memIsStore = false;  //!< the op pushes the SAQ (else LAQ)
-    Addr memAddr = 0;         //!< effective address
     bool isPbr = false;       //!< PBR; taken/target are valid
     bool branchTaken = false;
-    Addr branchTarget = 0;
 
     bool operator==(const TraceRecord &other) const = default;
 };
+static_assert(sizeof(TraceRecord) == 16);
 
 /** Trace identity and provenance, serialised in the header. */
 struct TraceMeta

@@ -216,6 +216,13 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
     obs::ScopedPhase sweepPhase("sweep", obs::Scope::Coarse);
     touchSweepMetrics();
 
+    // The trace is checked and planned once, before any point runs:
+    // a trace from another program, an empty trace or impossible
+    // windowing fails the sweep, not every point.  Windows stay
+    // serial inside a replayed point (jobs = 1): the sweep already
+    // parallelizes across points, and nesting pools would
+    // oversubscribe the host.
+    std::optional<replay::PreparedReplay> replayer;
     if (spec.engine == SweepEngine::Trace) {
         if (!spec.trace)
             fatal("trace-engine sweep requested without a trace "
@@ -223,6 +230,13 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         if (spec.preRun || spec.postRun)
             warn("trace-engine sweep: preRun/postRun callbacks do not "
                  "fire (no Simulator exists under replay)");
+        replay::ReplayOptions replayOpts;
+        replayOpts.samplePeriod = spec.samplePeriod;
+        replayOpts.sampleWarmup = spec.sampleWarmup;
+        replayOpts.sampleMeasure = spec.sampleMeasure;
+        replayOpts.ckptDir = spec.ckptDir;
+        replayOpts.ckptCreate = spec.ckptCreate;
+        replayer.emplace(program, *spec.trace, replayOpts);
     }
 
     std::vector<std::string> headers = {"cache_bytes"};
@@ -250,16 +264,6 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
 
     ProgressReporter progress(spec.progress, points.size());
 
-    // Windows stay serial inside a replayed point (jobs = 1): the
-    // sweep already parallelizes across points, and nesting pools
-    // would oversubscribe the host.
-    replay::ReplayOptions replayOpts;
-    replayOpts.samplePeriod = spec.samplePeriod;
-    replayOpts.sampleWarmup = spec.sampleWarmup;
-    replayOpts.sampleMeasure = spec.sampleMeasure;
-    replayOpts.ckptDir = spec.ckptDir;
-    replayOpts.ckptCreate = spec.ckptCreate;
-
     // Per-run state (Simulator, StatGroup, probe bus) is thread-local
     // to the point's worker; only the user callbacks share state, so
     // they are serialized under this mutex (see SweepSpec::preRun).
@@ -269,9 +273,8 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
     auto simulatePoint = [&](SweepPoint &p) {
         std::optional<Simulator> sim;
         SimResult result;
-        if (spec.engine == SweepEngine::Trace) {
-            result = replay::replayTrace(p.plan.cfg, program, *spec.trace,
-                                         replayOpts);
+        if (replayer) {
+            result = replayer->replay(p.plan.cfg);
         } else {
             sim.emplace(p.plan.cfg, program);
             if (spec.preRun) {

@@ -37,7 +37,10 @@ enum class SweepEngine
     /** Full cycle-accurate simulation (Simulator). */
     Cycle,
     /**
-     * Trace-driven replay (replay::replayTrace) of SweepSpec::trace.
+     * Trace-driven replay of SweepSpec::trace, prepared once per
+     * sweep (replay::PreparedReplay): a trace that does not replay
+     * the program, or impossible windowing, is one FatalError from
+     * runCacheSweep before any point runs.
      * Exact by default; SweepSpec::samplePeriod selects sampling.
      * preRun/postRun do not fire (there is no Simulator to attach
      * probes to); on_point still fires for every completed point.

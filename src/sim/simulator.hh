@@ -96,11 +96,11 @@ class Simulator
     Simulator(const SimConfig &config, const Program &program);
 
     /**
-     * A machine over a caller-owned backing store, which the caller
-     * has loaded (sampled replay windows share one instead of zeroing
-     * a fresh megabyte each): driven by @p trace from record
-     * @p firstRecord on, or without one by the executor over
-     * @p dataMem.
+     * A machine over a caller-owned backing store: driven by @p trace
+     * from record @p firstRecord on, or without one by the executor
+     * over @p dataMem, which the caller has then loaded.  A
+     * trace-driven machine never reads or writes the store, so the
+     * replay engine passes an empty one.
      */
     Simulator(const SimConfig &config, const Program &program,
               DataMemory &dataMem, const replay::Trace *trace = nullptr,

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/abort.hh"
 #include "common/log.hh"
+#include "obs/profiler.hh"
 #include "replay/capture.hh"
 #include "replay/replay_engine.hh"
 #include "replay/trace_format.hh"
@@ -260,6 +263,167 @@ TEST(ReplaySweepTest, TraceEngineWithoutTraceIsFatal)
     spec.engine = SweepEngine::Trace;
     EXPECT_THROW(runCacheSweep(spec, tinyBenchmark().program),
                  FatalError);
+}
+
+namespace
+{
+
+/**
+ * Run @p spec at jobs 1 and 8, collecting failures instead of
+ * failing fast, and expect one FatalError naming @p needle from
+ * runCacheSweep itself: no point may have run.
+ */
+void
+expectSweepFatalBeforeAnyPoint(SweepSpec spec, const Program &program,
+                               const std::string &needle)
+{
+    spec.failurePolicy = SweepFailurePolicy::CollectAndContinue;
+    for (unsigned jobs : {1u, 8u}) {
+        spec.jobs = jobs;
+        unsigned points = 0;
+        try {
+            runCacheSweep(spec, program,
+                          [&](const std::string &, unsigned,
+                              const SimResult &) { ++points; });
+            ADD_FAILURE() << "expected FatalError at jobs " << jobs;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(needle),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(points, 0u) << "jobs " << jobs;
+    }
+}
+
+SweepSpec
+traceSweepSpec(const replay::Trace &trace)
+{
+    SweepSpec spec;
+    spec.cacheSizes = {32, 64, 128};
+    spec.strategies = {"conv", "16-16", "tib"};
+    spec.engine = SweepEngine::Trace;
+    spec.trace = &trace;
+    return spec;
+}
+
+/** Sampling that forms several windows over tinyTrace(). */
+SweepSpec
+sampledSweepSpec(const replay::Trace &trace)
+{
+    SweepSpec spec = traceSweepSpec(trace);
+    spec.samplePeriod = 2000;
+    spec.sampleWarmup = 200;
+    spec.sampleMeasure = 500;
+    return spec;
+}
+
+} // namespace
+
+TEST(ReplaySweepTest, WrongProgramIsFatalBeforeAnyPoint)
+{
+    workloads::BranchySpec bspec;
+    const auto branchy = workloads::buildBranchyProgram(bspec);
+    expectSweepFatalBeforeAnyPoint(traceSweepSpec(tinyTrace()),
+                                   branchy.program,
+                                   "captured from a different program");
+}
+
+TEST(ReplaySweepTest, ImpossibleWindowingIsFatalBeforeAnyPoint)
+{
+    SweepSpec spec = sampledSweepSpec(tinyTrace());
+    spec.samplePeriod = 100;
+    spec.sampleWarmup = 80;
+    spec.sampleMeasure = 80; // warmup + measure > period
+    expectSweepFatalBeforeAnyPoint(spec, tinyBenchmark().program,
+                                   "must cover warmup");
+    spec.samplePeriod = 2000;
+    spec.sampleMeasure = 0;
+    expectSweepFatalBeforeAnyPoint(spec, tinyBenchmark().program,
+                                   "sampleMeasure must be nonzero");
+}
+
+TEST(ReplaySweepTest, EmptyTraceIsFatalBeforeAnyPoint)
+{
+    replay::Trace empty;
+    empty.meta.programSha256 =
+        replay::programSha256(tinyBenchmark().program);
+    expectSweepFatalBeforeAnyPoint(traceSweepSpec(empty),
+                                   tinyBenchmark().program,
+                                   "the trace holds no records");
+}
+
+TEST(ReplaySweepTest, SyncScanRunsOncePerSweep)
+{
+    struct ProfilerGuard
+    {
+        ~ProfilerGuard()
+        {
+            obs::Profiler::instance().disable();
+            obs::Profiler::instance().reset();
+        }
+    } guard;
+    const auto phaseCount = [](const std::string &name) {
+        std::uint64_t count = 0;
+        for (const auto &p : obs::Profiler::instance().snapshot()) {
+            const auto slash = p.path.rfind('/');
+            const std::string leaf = slash == std::string::npos
+                                         ? p.path
+                                         : p.path.substr(slash + 1);
+            if (leaf == name)
+                count += p.count;
+        }
+        return count;
+    };
+
+    for (unsigned jobs : {1u, 8u}) {
+        obs::Profiler::instance().disable();
+        obs::Profiler::instance().reset();
+        obs::Profiler::instance().enable();
+        SweepSpec spec = sampledSweepSpec(tinyTrace());
+        spec.jobs = jobs;
+        runCacheSweep(spec, tinyBenchmark().program);
+        EXPECT_EQ(phaseCount("replay.sync_scan"), 1u) << "jobs " << jobs;
+        EXPECT_EQ(phaseCount("replay.prepare"), 1u) << "jobs " << jobs;
+        EXPECT_EQ(phaseCount("replay.sampled"), 9u) << "jobs " << jobs;
+    }
+}
+
+TEST(ReplaySweepTest, SampledSweepMatchesStandaloneReplay)
+{
+    const auto &bench = tinyBenchmark();
+    const auto &trace = tinyTrace();
+    const SweepSpec base = sampledSweepSpec(trace);
+    replay::ReplayOptions opt;
+    opt.samplePeriod = base.samplePeriod;
+    opt.sampleWarmup = base.sampleWarmup;
+    opt.sampleMeasure = base.sampleMeasure;
+
+    for (unsigned jobs : {1u, 8u}) {
+        SweepSpec spec = base;
+        spec.jobs = jobs;
+        std::map<std::pair<std::string, unsigned>, SimResult> swept;
+        runCacheSweep(spec, bench.program,
+                      [&](const std::string &strategy, unsigned bytes,
+                          const SimResult &r) {
+                          swept[{strategy, bytes}] = r;
+                      });
+        ASSERT_EQ(swept.size(), 9u) << "jobs " << jobs;
+        for (const auto &[key, r] : swept) {
+            const std::string what = key.first + ":" +
+                                     std::to_string(key.second) +
+                                     " jobs " + std::to_string(jobs);
+            const auto cfg =
+                makeValidSweepConfig(spec, key.first, key.second);
+            ASSERT_TRUE(cfg) << what;
+            const SimResult alone =
+                replay::replayTrace(*cfg, bench.program, trace, opt);
+            EXPECT_EQ(r.totalCycles, alone.totalCycles) << what;
+            EXPECT_EQ(r.instructions, alone.instructions) << what;
+            EXPECT_EQ(r.counters, alone.counters) << what;
+            EXPECT_EQ(r.meta, alone.meta) << what;
+            EXPECT_EQ(r.meta.at("engine"), "trace-sampled") << what;
+        }
+    }
 }
 
 TEST(StandardFlagsTest, TraceEngineRejectsObsOutputs)
