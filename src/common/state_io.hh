@@ -1,10 +1,10 @@
 /**
  * @file
- * Little-endian binary state serialization for machine checkpoints.
+ * Little-endian binary state serialization for machine snapshots.
  *
  * StateWriter appends primitive values to a byte buffer; StateReader
- * reads them back with bounds checking.  Every component that can be
- * checkpointed (replay/checkpoint.hh) implements
+ * reads them back with bounds checking.  Every stateful component
+ * (Simulator::saveState and everything it reaches) implements
  * saveState(StateWriter&) / restoreState(StateReader&) on top of
  * these primitives, so the payload layout is defined entirely by the
  * order of the calls — no padding, no host endianness leaks.

@@ -14,9 +14,7 @@
 #include "common/thread_pool.hh"
 #include "mem/data_memory.hh"
 #include "mem/fpu.hh"
-#include "obs/metrics.hh"
 #include "obs/profiler.hh"
-#include "replay/checkpoint.hh"
 
 namespace pipesim::replay
 {
@@ -31,6 +29,16 @@ namespace pipesim::replay
 
 namespace
 {
+
+/** Fail a sampled replay that measures nothing: no window fits in a
+ *  trace of @p total records. */
+[[noreturn]] void
+failNoMeasuredInstructions(std::size_t total, const ReplayOptions &opt)
+{
+    fatal("trace replay: sampling produced no measured "
+          "instructions (trace of ", total,
+          " records, period ", opt.samplePeriod, ")");
+}
 
 /**
  * The trace-level checks, then the sampling plan (empty in the exact
@@ -61,8 +69,11 @@ planFor(const Program &program, const Trace &trace,
         fatal("trace replay: samplePeriod (", opt.samplePeriod,
               ") must cover warmup (", opt.sampleWarmup,
               ") + measure (", opt.sampleMeasure, ")");
-    return planSampleWindows(trace.records.size(),
-                             computeSyncPoints(program, trace), opt);
+    std::vector<SampleWindow> plan = planSampleWindows(
+        trace.records.size(), computeSyncPoints(program, trace), opt);
+    if (plan.empty())
+        failNoMeasuredInstructions(trace.records.size(), opt);
+    return plan;
 }
 
 /**
@@ -83,7 +94,6 @@ struct WindowOutcome
 
     std::uint64_t warmNs = 0;
     std::uint64_t measureNs = 0;
-    std::uint64_t ckptNs = 0;
 };
 
 /** Advance @p m to @p warmEnd (detailed warm-up).  @return false when
@@ -157,21 +167,17 @@ forEachWindow(std::size_t count, unsigned jobs, const Job &job)
 }
 
 /**
- * The cold pass: each window warms up from its sync point, then runs
- * its measured span.  The windows share one empty DataMemory, which a
- * trace-driven machine never reads or writes; serially (@p jobs <= 1)
- * they stop at the first window whose warm-up runs off the trace end.
- * With @p save set (serial only) this
- * is the checkpoint-create pass: each window's machine state and the
- * backing store's dirty pages are snapshotted at the warm end, right
- * where the restore pass will resume.
+ * Run every window of @p plan cold: each warms up from its sync point,
+ * then runs its measured span.  The windows share one empty
+ * DataMemory, which a trace-driven machine never reads or writes;
+ * serially (@p jobs <= 1) they stop at the first window whose warm-up
+ * runs off the trace end.
  */
 std::vector<WindowOutcome>
 runColdWindows(const SimConfig &config, const Program &program,
                const Trace &trace, const std::vector<SampleWindow> &plan,
-               bool prof, unsigned jobs, CheckpointSet *save)
+               bool prof, unsigned jobs)
 {
-    auto &registry = obs::MetricsRegistry::instance();
     DataMemory dataMem;
     bool ranDry = false; // written by the serial pass only
 
@@ -188,118 +194,6 @@ runColdWindows(const SimConfig &config, const Program &program,
                 ranDry = true;
             return;
         }
-        if (save) {
-            const std::uint64_t saveStartNs =
-                prof ? obs::profileNowNs() : 0;
-            StateWriter w;
-            m.saveState(w);
-            dataMem.saveDirtyPages(w);
-            CheckpointWindow cw;
-            cw.index = i;
-            cw.start = win.start;
-            cw.warmEnd = win.warmEnd;
-            cw.payload = w.take();
-            if (prof)
-                out.ckptNs = obs::profileNowNs() - saveStartNs;
-            registry.counter("replay.ckpt.windows_saved").add(1);
-            registry.counter("replay.ckpt.bytes_written")
-                .add(cw.payload.size());
-            save->windows.push_back(std::move(cw));
-        }
-        runMeasure(m, win, prof, out);
-    });
-    return outcomes;
-}
-
-/** Validate that @p set was created for exactly this (trace, program,
- *  config, sampling plan) tuple. */
-void
-checkCheckpointUsable(const CheckpointSet &set, const Trace &trace,
-                      const std::string &configHash,
-                      const ReplayOptions &opt,
-                      const std::vector<SampleWindow> &plan,
-                      const std::string &path)
-{
-    const auto reject = [&](auto &&...what) {
-        fatal("checkpoint ", path, ": ",
-              std::forward<decltype(what)>(what)...,
-              "; re-create it with --ckpt-create");
-    };
-    if (set.meta.traceSha256 != trace.sha256)
-        reject("created from a different trace (checkpoint has ",
-               set.meta.traceSha256, ", this trace is ", trace.sha256,
-               ")");
-    if (set.meta.programSha256 != trace.meta.programSha256)
-        reject("created from a different program image");
-    if (set.meta.configSha256 != configHash)
-        reject("created for a different machine configuration "
-               "(checkpoint has ", set.meta.configSha256,
-               ", this config hashes to ", configHash, ")");
-    if (set.meta.samplePeriod != opt.samplePeriod ||
-        set.meta.sampleWarmup != opt.sampleWarmup ||
-        set.meta.sampleMeasure != opt.sampleMeasure)
-        reject("created with sampling ", set.meta.samplePeriod, "/",
-               set.meta.sampleWarmup, "/", set.meta.sampleMeasure,
-               " (period/warmup/measure) but this run asks for ",
-               opt.samplePeriod, "/", opt.sampleWarmup, "/",
-               opt.sampleMeasure);
-    if (set.meta.traceRecords != trace.records.size())
-        reject("records a ", set.meta.traceRecords,
-               "-record trace but this trace holds ",
-               trace.records.size());
-    if (set.windows.size() > plan.size())
-        reject("holds ", set.windows.size(),
-               " windows but the plan has only ", plan.size());
-    for (std::size_t i = 0; i < set.windows.size(); ++i) {
-        const CheckpointWindow &cw = set.windows[i];
-        if (cw.index != i || cw.start != plan[i].start ||
-            cw.warmEnd != plan[i].warmEnd)
-            reject("window ", i, " covers records [", cw.start, ", ",
-                   cw.warmEnd, ") but the plan expects [",
-                   plan[i].start, ", ", plan[i].warmEnd, ")");
-    }
-}
-
-/**
- * The checkpointed pass: restore each window's warm state from @p set
- * and run only its measured span.  A window beyond the stored count
- * means the creator's warm-up ran off the trace end there, so it (and
- * everything after it) contributes nothing — matching the serial
- * pass's early stop.
- */
-std::vector<WindowOutcome>
-runCheckpointedWindows(const SimConfig &config, const Program &program,
-                       const Trace &trace,
-                       const std::vector<SampleWindow> &plan, bool prof,
-                       unsigned jobs, const CheckpointSet &set)
-{
-    auto &registry = obs::MetricsRegistry::instance();
-    std::vector<WindowOutcome> outcomes(plan.size());
-
-    forEachWindow(plan.size(), jobs, [&](std::size_t i) {
-        const SampleWindow &win = plan[i];
-        WindowOutcome &out = outcomes[i];
-        if (i >= set.windows.size()) {
-            out.warmIncomplete = true;
-            return;
-        }
-        const CheckpointWindow &cw = set.windows[i];
-        DataMemory dataMem;
-        dataMem.loadProgram(program);
-        Simulator m(config, program, dataMem, &trace, win.start);
-        const std::uint64_t restoreStartNs =
-            prof ? obs::profileNowNs() : 0;
-        StateReader r(cw.payload,
-                      "checkpoint " + set.sha256.substr(0, 16) +
-                          " window " + std::to_string(i));
-        m.restoreState(r);
-        dataMem.restoreDirtyPages(r);
-        r.expectEnd();
-        if (prof)
-            out.ckptNs = obs::profileNowNs() - restoreStartNs;
-        registry.counter("replay.ckpt.windows_restored").add(1);
-        registry.counter("replay.ckpt.bytes_read")
-            .add(cw.payload.size());
         runMeasure(m, win, prof, out);
     });
     return outcomes;
@@ -353,65 +247,19 @@ PreparedReplay::replaySampled(const SimConfig &config) const
     // paper's sampling cost model: warm-up is pure overhead).  The
     // clock is only read when the profiler is attached.
     const bool prof = obs::Profiler::enabled();
-    obs::CachedPhase warmPhase, measurePhase, ckptPhase;
-
-    const bool useCkpt = !_options.ckptDir.empty();
-    std::string ckptMode = "off";
-    if (useCkpt) {
-        // Touch the checkpoint metrics before any window runs so the
-        // exported key set is identical for every mode and job count
-        // (the key-set contract, obs/metrics.hh).
-        auto &registry = obs::MetricsRegistry::instance();
-        registry.counter("replay.ckpt.windows_saved");
-        registry.counter("replay.ckpt.windows_restored");
-        registry.counter("replay.ckpt.bytes_written");
-        registry.counter("replay.ckpt.bytes_read");
-        ckptMode = _options.ckptCreate ? "create" : "restore";
-    }
+    obs::CachedPhase warmPhase, measurePhase;
     if (prof) {
         warmPhase = obs::CachedPhase("window.warmup");
         measurePhase = obs::CachedPhase("window.measure");
-        if (useCkpt)
-            ckptPhase = obs::CachedPhase(_options.ckptCreate
-                                             ? "replay.ckpt.save"
-                                             : "replay.ckpt.restore");
     }
 
-    std::vector<WindowOutcome> outcomes;
-    if (useCkpt && _options.ckptCreate) {
-        // The create pass IS the serial sampled run, plus snapshots:
-        // every window's state at its warm end is exactly what the
-        // serial path computes, which is what makes restored results
-        // bit-identical by construction.
-        CheckpointSet set;
-        set.meta.traceSha256 = _trace.sha256;
-        set.meta.programSha256 = _trace.meta.programSha256;
-        set.meta.configSha256 = configSha256(config);
-        set.meta.samplePeriod = _options.samplePeriod;
-        set.meta.sampleWarmup = _options.sampleWarmup;
-        set.meta.sampleMeasure = _options.sampleMeasure;
-        set.meta.traceRecords = total;
-        set.meta.provenance =
-            "pipesim live-points: " + config.fetchName();
-        outcomes = runColdWindows(config, _program, _trace, _plan, prof,
-                                  1, &set);
-        writeCheckpoint(set, checkpointPath(_options.ckptDir, config));
-    } else if (useCkpt) {
-        const std::string path = checkpointPath(_options.ckptDir, config);
-        const CheckpointSet set = readCheckpoint(path);
-        checkCheckpointUsable(set, _trace, configSha256(config), _options,
-                              _plan, path);
-        outcomes = runCheckpointedWindows(
-            config, _program, _trace, _plan, prof,
-            resolveJobCount(_options.jobs), set);
-    } else {
-        outcomes = runColdWindows(config, _program, _trace, _plan, prof,
-                                  resolveJobCount(_options.jobs), nullptr);
-    }
+    const std::vector<WindowOutcome> outcomes =
+        runColdWindows(config, _program, _trace, _plan, prof,
+                       resolveJobCount(_options.jobs));
 
-    // Accumulate in plan order: every execution strategy feeds the
+    // Accumulate in plan order: serial and pooled windows feed the
     // estimator the same sequence, so the result is bit-identical for
-    // any job count and checkpoint mode.
+    // any job count.
     std::map<std::string, std::uint64_t> measuredCounters;
     std::vector<double> windowCpis;
     std::uint64_t measuredInsts = 0;
@@ -420,8 +268,6 @@ PreparedReplay::replaySampled(const SimConfig &config) const
         if (prof) {
             warmPhase.add(out.warmNs);
             measurePhase.add(out.measureNs);
-            if (useCkpt)
-                ckptPhase.add(out.ckptNs);
         }
         if (out.warmIncomplete)
             break; // trace (and program) ended inside the warm-up
@@ -434,10 +280,8 @@ PreparedReplay::replaySampled(const SimConfig &config) const
             measuredCounters[name] += delta;
     }
 
-    if (measuredInsts == 0)
-        fatal("trace replay: sampling produced no measured "
-              "instructions (trace of ", total,
-              " records, period ", _options.samplePeriod, ")");
+    if (measuredInsts == 0) // planFor rejects an empty plan; a backstop
+        failNoMeasuredInstructions(total, _options);
 
     // Ratio estimator for the point value; the CI comes from the
     // spread of the per-window CPIs (CLT over systematic windows).
@@ -470,7 +314,6 @@ PreparedReplay::replaySampled(const SimConfig &config) const
     r.meta["sampled_instructions"] = std::to_string(measuredInsts);
     r.meta["cpi_estimate"] = std::to_string(cpi);
     r.meta["cpi_rel_ci95"] = relCi;
-    r.meta["ckpt_mode"] = ckptMode;
     // Counters sum only the measured windows; scale by
     // instructions/sampled_instructions for whole-run estimates.
     r.meta["counters_scope"] = "measured_windows";

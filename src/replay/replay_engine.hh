@@ -31,17 +31,15 @@
  *
  * Sampled replay is plan/execute split: planSampleWindows() first
  * enumerates the (deduplicated) measurement windows, then the windows
- * run as independent jobs — serially, on a thread pool (jobs > 1), or
- * restored from a live-points checkpoint (replay/checkpoint.hh) that
- * skips the warm-up entirely.  Results accumulate in plan order, so
- * every execution strategy produces bit-identical estimates.
+ * run as independent jobs, serially or on a thread pool (jobs > 1).
+ * Results accumulate in plan order, so every job count produces
+ * bit-identical estimates.
  */
 
 #ifndef PIPESIM_REPLAY_REPLAY_ENGINE_HH
 #define PIPESIM_REPLAY_REPLAY_ENGINE_HH
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "replay/trace_format.hh"
@@ -65,20 +63,9 @@ struct ReplayOptions
     /**
      * Worker threads for sampled windows (0 resolves like --jobs:
      * PIPESIM_JOBS, then hardware concurrency).  Results are
-     * bit-identical for any value.  Ignored by the exact mode and
-     * forced to 1 while creating checkpoints.
+     * bit-identical for any value.  Ignored by the exact mode.
      */
     unsigned jobs = 1;
-
-    /**
-     * Live-points checkpoint directory (replay/checkpoint.hh).
-     * Empty disables checkpointing.  Non-empty with ckptCreate runs
-     * the serial sampled pass and saves every window's warm state;
-     * non-empty without ckptCreate requires a matching checkpoint
-     * file and replays only the measured instructions of each window.
-     */
-    std::string ckptDir;
-    bool ckptCreate = false;
 };
 
 /**
@@ -111,7 +98,7 @@ std::vector<std::size_t> computeSyncPoints(const Program &program,
  * on an already-planned sync point is dropped (sparse sync points
  * would otherwise measure the same window twice, double-weighting it
  * in the CPI estimator).  Pure function of its arguments — the same
- * plan drives serial, pooled and checkpointed execution.
+ * plan drives serial and pooled execution.
  */
 std::vector<SampleWindow>
 planSampleWindows(std::size_t totalRecords,
@@ -134,8 +121,9 @@ class PreparedReplay
      *
      * @throws FatalError when the trace was not captured from
      *         @p program (hash mismatch, or a record naming a pc that
-     *         does not decode), when it holds no records, or when the
-     *         sampling parameters cannot form a window.
+     *         does not decode), when it holds no records, when the
+     *         sampling parameters cannot form a window, or when no
+     *         window fits in the trace.
      */
     PreparedReplay(const Program &program, const Trace &trace,
                    const ReplayOptions &options = {});
@@ -150,9 +138,7 @@ class PreparedReplay
      * were measured).
      *
      * @throws FatalError when the trace diverges from the program
-     *         during the run, or when a requested checkpoint is
-     *         missing, corrupt or keyed to a different (trace,
-     *         program, config, sampling) tuple.
+     *         during the run.
      * @throws SimAbort on the same watchdogs as the cycle simulator.
      */
     SimResult replay(const SimConfig &config) const;

@@ -234,8 +234,6 @@ runCacheSweep(const SweepSpec &spec, const Program &program,
         replayOpts.samplePeriod = spec.samplePeriod;
         replayOpts.sampleWarmup = spec.sampleWarmup;
         replayOpts.sampleMeasure = spec.sampleMeasure;
-        replayOpts.ckptDir = spec.ckptDir;
-        replayOpts.ckptCreate = spec.ckptCreate;
         replayer.emplace(program, *spec.trace, replayOpts);
     }
 

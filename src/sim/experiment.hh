@@ -171,18 +171,6 @@ struct SweepSpec
     unsigned sampleWarmup = 300;  //!< warm-up instructions per window
     unsigned sampleMeasure = 700; //!< measured instructions per window
 
-    /**
-     * Trace engine, sampled mode: live-points checkpoint directory
-     * (replay/checkpoint.hh).  Empty disables checkpoints.  With
-     * ckptCreate each point's serial sampled pass also snapshots its
-     * windows there; without it each point restores its windows from
-     * a matching checkpoint file, skipping every warm-up.  Points
-     * keep their windows serial either way — the sweep already
-     * parallelizes across points.
-     */
-    std::string ckptDir;
-    bool ckptCreate = false;
-
     /** Override SimConfig::maxCycles for every point (0 = keep the
      *  default). */
     Cycle maxCycles = 0;

@@ -320,7 +320,8 @@ Simulator::saveState(StateWriter &w) const
     _pipeline->saveState(w);
     _fetch->saveState(w);
     _mem->saveState(w);
-    // configSha256 does not cover cpiStack, so the stack is flagged.
+    // Flagged so a payload restores into a machine with or without a
+    // CPI stack.
     w.b(_cpiStack != nullptr);
     if (_cpiStack)
         _cpiStack->saveState(w);

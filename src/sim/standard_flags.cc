@@ -49,13 +49,6 @@ registerStandardFlags(CliParser &cli, const StandardFlagGroups &groups)
         cli.addOption("sample-measure", "700",
                       "trace engine: measured instructions per sampling "
                       "window");
-        cli.addOption("ckpt-dir", "",
-                      "sampled replay: live-points checkpoint directory "
-                      "(restore windows from warm snapshots; empty = "
-                      "no checkpoints)");
-        cli.addFlag("ckpt-create",
-                    "sampled replay: create/refresh the checkpoint "
-                    "files under --ckpt-dir instead of requiring them");
     }
 }
 
@@ -103,8 +96,6 @@ standardFlagsFromCli(const CliParser &cli, const StandardFlagGroups &groups)
         f.samplePeriod = nonNegative(cli, "sample-period");
         f.sampleWarmup = nonNegative(cli, "sample-warmup");
         f.sampleMeasure = nonNegative(cli, "sample-measure");
-        f.ckptDir = cli.get("ckpt-dir");
-        f.ckptCreate = cli.getFlag("ckpt-create");
     }
     return f;
 }
@@ -163,18 +154,6 @@ applyStandardFlags(SweepSpec &spec, const StandardFlags &flags)
     spec.samplePeriod = flags.samplePeriod;
     spec.sampleWarmup = flags.sampleWarmup;
     spec.sampleMeasure = flags.sampleMeasure;
-    spec.ckptDir = flags.ckptDir;
-    spec.ckptCreate = flags.ckptCreate;
-    if (!flags.ckptDir.empty()) {
-        if (flags.engine != SweepEngine::Trace ||
-            flags.samplePeriod == 0)
-            fatal("--ckpt-dir requires sampled trace replay "
-                  "(--engine trace with --sample-period > 0): "
-                  "checkpoints snapshot sampling windows");
-    } else if (flags.ckptCreate) {
-        fatal("--ckpt-create requires --ckpt-dir to name the "
-              "checkpoint directory");
-    }
     if (flags.engine == SweepEngine::Trace && flags.obs.any())
         fatal("--engine trace cannot produce the per-point "
               "observability outputs (--cpi-stack/--trace-json/"

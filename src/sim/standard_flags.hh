@@ -8,8 +8,7 @@
  *   sweep control   --jobs, --obs-point, --fail-fast, --progress,
  *                   --progress-window
  *   engine          --engine cycle|trace, --trace-file,
- *                   --sample-period, --sample-warmup, --sample-measure,
- *                   --ckpt-dir, --ckpt-create
+ *                   --sample-period, --sample-warmup, --sample-measure
  *
  * registerStandardFlags() registers the groups, standardFlagsFromCli()
  * reads them back, applyStandardFlags() pushes them onto a SweepSpec
@@ -64,8 +63,6 @@ struct StandardFlags
     unsigned samplePeriod = 0;    //!< replay sampling (0 = exact)
     unsigned sampleWarmup = 300;  //!< warm-up insts per window
     unsigned sampleMeasure = 700; //!< measured insts per window
-    std::string ckptDir;          //!< live-points checkpoint directory
-    bool ckptCreate = false;      //!< create/refresh the checkpoints
 };
 
 /** Register the standard groups on @p cli. */

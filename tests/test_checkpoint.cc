@@ -1,5 +1,5 @@
 /**
- * The live-points checkpoint store (replay/checkpoint.hh) and the
+ * Machine-state snapshots (Simulator::saveState/restoreState) and the
  * plan/execute sampled-replay split:
  *
  *  - window planning must deduplicate sparse-sync-point collisions
@@ -8,11 +8,9 @@
  *  - machine state must round-trip bit-exactly through
  *    saveState/restoreState at every sync point — the restored
  *    machine's future is indistinguishable from the original's;
- *  - checkpointed and pooled sampled replay must be bit-identical to
- *    the serial path for any job count;
- *  - the PIPECKPT container must reject every corruption, truncation
- *    and cache-key mismatch with a FatalError, in the same spirit as
- *    the PIPETRC fuzzing in test_trace_format.cc;
+ *  - a sampled estimate from one window reports no confidence
+ *    interval;
+ *  - a truncated payload must fail restoreState with a FatalError;
  *  - the cycle engine's executing machine checkpoints too: restored
  *    mid-run, it finishes with the same result and kernel outputs.
  */
@@ -20,16 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
-#include "common/sha256.hh"
 #include "common/state_io.hh"
 #include "mem/data_memory.hh"
 #include "replay/capture.hh"
-#include "replay/checkpoint.hh"
 #include "replay/replay_engine.hh"
 #include "replay/trace_format.hh"
 #include "sim/config.hh"
@@ -56,41 +51,6 @@ tinyTrace()
     static const Trace trace = captureTrace(
         SimConfig{}, tinyBenchmark().program, "checkpoint test");
     return trace;
-}
-
-/** A scratch directory wiped on construction and destruction. */
-struct ScratchDir
-{
-    explicit ScratchDir(std::string p) : path(std::move(p))
-    {
-        std::filesystem::remove_all(path);
-    }
-    ~ScratchDir() { std::filesystem::remove_all(path); }
-    std::string path;
-};
-
-CheckpointSet
-sampleSet(std::size_t windows = 3)
-{
-    CheckpointSet set;
-    set.meta.traceSha256 = std::string(64, 'a');
-    set.meta.programSha256 = std::string(64, 'b');
-    set.meta.configSha256 = std::string(64, 'c');
-    set.meta.samplePeriod = 2000;
-    set.meta.sampleWarmup = 300;
-    set.meta.sampleMeasure = 700;
-    set.meta.traceRecords = 10000;
-    set.meta.provenance = "unit test";
-    for (std::size_t i = 0; i < windows; ++i) {
-        CheckpointWindow w;
-        w.index = i;
-        w.start = i * 2000;
-        w.warmEnd = w.start + 300;
-        for (std::size_t k = 0; k < 40 + i * 7; ++k)
-            w.payload.push_back(std::uint8_t(k * 31 + i));
-        set.windows.push_back(std::move(w));
-    }
-    return set;
 }
 
 ReplayOptions
@@ -282,65 +242,7 @@ TEST(CheckpointRoundTripTest, SlowPipelinedMemoryAndDcache)
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: checkpointed sampled replay is bit-identical.
-
-namespace
-{
-
-void
-expectSameEstimate(const SimResult &a, const SimResult &b,
-                   const std::string &what)
-{
-    EXPECT_EQ(a.totalCycles, b.totalCycles) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.counters, b.counters) << what;
-    EXPECT_EQ(a.meta.at("sample_windows"), b.meta.at("sample_windows"))
-        << what;
-    EXPECT_EQ(a.meta.at("cpi_estimate"), b.meta.at("cpi_estimate"))
-        << what;
-    EXPECT_EQ(a.meta.at("cpi_rel_ci95"), b.meta.at("cpi_rel_ci95"))
-        << what;
-}
-
-} // namespace
-
-TEST(CheckpointedReplayTest, CreateRestoreBitIdenticalAtAnyJobCount)
-{
-    const auto &program = tinyBenchmark().program;
-    const auto &trace = tinyTrace();
-    ScratchDir dir("ckpt_test_store");
-    SimConfig cfg;
-    cfg.fetch = pipeConfigFor("16-16", 128);
-
-    ReplayOptions serial = sampledOptions();
-    const SimResult base = replayTrace(cfg, program, trace, serial);
-    EXPECT_EQ(base.meta.at("ckpt_mode"), "off");
-
-    ReplayOptions pooled = sampledOptions();
-    pooled.jobs = 8;
-    expectSameEstimate(base, replayTrace(cfg, program, trace, pooled),
-                       "pooled cold windows");
-
-    ReplayOptions create = sampledOptions();
-    create.ckptDir = dir.path;
-    create.ckptCreate = true;
-    const SimResult created = replayTrace(cfg, program, trace, create);
-    EXPECT_EQ(created.meta.at("ckpt_mode"), "create");
-    expectSameEstimate(base, created, "checkpoint-create pass");
-    EXPECT_TRUE(std::filesystem::exists(
-        checkpointPath(dir.path, cfg)));
-
-    for (unsigned jobs : {1u, 8u}) {
-        ReplayOptions restore = sampledOptions();
-        restore.ckptDir = dir.path;
-        restore.jobs = jobs;
-        const SimResult restored =
-            replayTrace(cfg, program, trace, restore);
-        EXPECT_EQ(restored.meta.at("ckpt_mode"), "restore");
-        expectSameEstimate(base, restored,
-                           "restore at jobs " + std::to_string(jobs));
-    }
-}
+// Sampled estimates and bad payloads.
 
 TEST(CheckpointedReplayTest, SingleWindowCiIsNotApplicable)
 {
@@ -361,205 +263,6 @@ TEST(CheckpointedReplayTest, SingleWindowCiIsNotApplicable)
         replayTrace(SimConfig{}, program, trace, sampledOptions());
     EXPECT_GT(std::stoul(many.meta.at("sample_windows")), 1u);
     EXPECT_NO_THROW(std::stod(many.meta.at("cpi_rel_ci95")));
-}
-
-TEST(CheckpointedReplayTest, MismatchedKeyIsFatal)
-{
-    const auto &program = tinyBenchmark().program;
-    const auto &trace = tinyTrace();
-    ScratchDir dir("ckpt_test_mismatch");
-    SimConfig cfg;
-    cfg.fetch = pipeConfigFor("16-16", 128);
-
-    ReplayOptions create = sampledOptions();
-    create.ckptDir = dir.path;
-    create.ckptCreate = true;
-    replayTrace(cfg, program, trace, create);
-
-    // A different machine config hashes to a different file: missing.
-    SimConfig other = cfg;
-    other.fetch = pipeConfigFor("16-16", 256);
-    ReplayOptions restore = sampledOptions();
-    restore.ckptDir = dir.path;
-    EXPECT_THROW(replayTrace(other, program, trace, restore),
-                 FatalError);
-
-    // Same config but different sampling parameters: the stored key
-    // must be rejected, not silently reused.
-    ReplayOptions different = restore;
-    different.samplePeriod = 3000;
-    EXPECT_THROW(replayTrace(cfg, program, trace, different),
-                 FatalError);
-}
-
-TEST(CheckpointedReplayTest, MissingCheckpointIsFatal)
-{
-    ReplayOptions opt = sampledOptions();
-    opt.ckptDir = "no_such_ckpt_dir";
-    EXPECT_THROW(replayTrace(SimConfig{}, tinyBenchmark().program,
-                             tinyTrace(), opt),
-                 FatalError);
-}
-
-// ---------------------------------------------------------------------
-// Container format: round-trips and corruption fuzzing.
-
-TEST(CheckpointFormatTest, ConfigHashDistinguishesConfigs)
-{
-    SimConfig a, b;
-    a.fetch = pipeConfigFor("16-16", 128);
-    b.fetch = pipeConfigFor("16-16", 256);
-    EXPECT_EQ(configSha256(a), configSha256(a));
-    EXPECT_NE(configSha256(a), configSha256(b));
-    EXPECT_EQ(configSha256(a).size(), 64u);
-
-    SimConfig c = a;
-    c.mem.pipelined = !c.mem.pipelined;
-    EXPECT_NE(configSha256(a), configSha256(c));
-    SimConfig d = a;
-    d.cpu.ldqEntries += 1;
-    EXPECT_NE(configSha256(a), configSha256(d));
-
-    const std::string path = checkpointPath("store", a);
-    EXPECT_EQ(path,
-              "store/ckpt-" + configSha256(a).substr(0, 16) +
-                  ".pipeckpt");
-}
-
-TEST(CheckpointFormatTest, EncodeDecodeRoundTrip)
-{
-    CheckpointSet set = sampleSet(5);
-    const auto bytes = encodeCheckpoint(set);
-    EXPECT_FALSE(set.sha256.empty());
-    const CheckpointSet back = decodeCheckpoint(bytes, "test");
-    EXPECT_EQ(back.meta.traceSha256, set.meta.traceSha256);
-    EXPECT_EQ(back.meta.programSha256, set.meta.programSha256);
-    EXPECT_EQ(back.meta.configSha256, set.meta.configSha256);
-    EXPECT_EQ(back.meta.samplePeriod, set.meta.samplePeriod);
-    EXPECT_EQ(back.meta.sampleWarmup, set.meta.sampleWarmup);
-    EXPECT_EQ(back.meta.sampleMeasure, set.meta.sampleMeasure);
-    EXPECT_EQ(back.meta.traceRecords, set.meta.traceRecords);
-    EXPECT_EQ(back.meta.provenance, set.meta.provenance);
-    EXPECT_EQ(back.sha256, set.sha256);
-    ASSERT_EQ(back.windows.size(), set.windows.size());
-    for (std::size_t i = 0; i < set.windows.size(); ++i) {
-        EXPECT_EQ(back.windows[i].index, set.windows[i].index);
-        EXPECT_EQ(back.windows[i].start, set.windows[i].start);
-        EXPECT_EQ(back.windows[i].warmEnd, set.windows[i].warmEnd);
-        EXPECT_EQ(back.windows[i].payload, set.windows[i].payload);
-    }
-}
-
-TEST(CheckpointFormatTest, FileRoundTripCreatesDirectories)
-{
-    ScratchDir dir("ckpt_test_format");
-    CheckpointSet set = sampleSet(2);
-    const std::string path = dir.path + "/nested/a.pipeckpt";
-    writeCheckpoint(set, path);
-    const CheckpointSet back = readCheckpoint(path);
-    EXPECT_EQ(back.sha256, set.sha256);
-    ASSERT_EQ(back.windows.size(), 2u);
-    EXPECT_EQ(back.windows[1].payload, set.windows[1].payload);
-}
-
-TEST(CheckpointFormatTest, DescribeNamesTheEssentials)
-{
-    CheckpointSet set = sampleSet(4);
-    encodeCheckpoint(set);
-    const std::string d = describeCheckpoint(set);
-    EXPECT_NE(d.find("4"), std::string::npos);
-    EXPECT_NE(d.find(set.meta.provenance), std::string::npos);
-    EXPECT_NE(d.find(set.sha256), std::string::npos);
-    EXPECT_NE(d.find(set.meta.configSha256), std::string::npos);
-}
-
-TEST(CheckpointCorruptionTest, EveryTruncationIsFatal)
-{
-    CheckpointSet set = sampleSet(2);
-    const auto bytes = encodeCheckpoint(set);
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-        std::vector<std::uint8_t> cut(bytes.begin(),
-                                      bytes.begin() + len);
-        EXPECT_THROW(decodeCheckpoint(cut, "truncated"), FatalError)
-            << "truncated to " << len << " of " << bytes.size();
-    }
-}
-
-TEST(CheckpointCorruptionTest, EverySingleByteFlipIsFatal)
-{
-    // The whole-file digest plus the header CRC and per-window CRCs
-    // leave no byte whose corruption can decode: every flip must
-    // raise FatalError — never a crash, hang, or a silently wrong
-    // machine state.
-    CheckpointSet set = sampleSet(2);
-    const auto bytes = encodeCheckpoint(set);
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-        for (const std::uint8_t flip :
-             {std::uint8_t(0xff), std::uint8_t(0x01)}) {
-            std::vector<std::uint8_t> bad = bytes;
-            bad[i] ^= flip;
-            EXPECT_THROW(decodeCheckpoint(bad, "flipped"), FatalError)
-                << "byte " << i << " xor 0x" << std::hex
-                << unsigned(flip);
-        }
-    }
-}
-
-TEST(CheckpointCorruptionTest, GarbageFilesAreFatal)
-{
-    const std::vector<std::uint8_t> empty;
-    EXPECT_THROW(decodeCheckpoint(empty, "empty"), FatalError);
-
-    std::vector<std::uint8_t> noise(300);
-    for (std::size_t i = 0; i < noise.size(); ++i)
-        noise[i] = std::uint8_t(i * 41 + 7);
-    EXPECT_THROW(decodeCheckpoint(noise, "noise"), FatalError);
-
-    std::vector<std::uint8_t> magicOnly = {'P', 'I', 'P', 'E',
-                                           'C', 'K', 'P', 'T'};
-    EXPECT_THROW(decodeCheckpoint(magicOnly, "magic-only"), FatalError);
-}
-
-TEST(CheckpointCorruptionTest, OldFormatVersionIsFatal)
-{
-    // A file written before the version bump, otherwise intact (the
-    // whole-file digest is recomputed over the patched header), must
-    // be refused by version, not by checksum.
-    CheckpointSet set = sampleSet(2);
-    std::vector<std::uint8_t> bytes = encodeCheckpoint(set);
-    ASSERT_EQ(checkpointFormatVersion, 5u);
-    bytes[8] = 4; // u32 version, little-endian, right after the magic
-    const std::size_t bodyLen = bytes.size() - 32;
-    Sha256 h;
-    h.update(bytes.data(), bodyLen);
-    const auto digest = h.digest();
-    std::copy(digest.begin(), digest.end(), bytes.begin() + bodyLen);
-    try {
-        decodeCheckpoint(bytes, "version-4 file");
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "unsupported format version 4"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(CheckpointCorruptionTest, MissingFileIsFatal)
-{
-    EXPECT_THROW(readCheckpoint("no/such/store.pipeckpt"), FatalError);
-}
-
-TEST(CheckpointCorruptionTest, DiagnosticNamesTheFile)
-{
-    std::vector<std::uint8_t> noise(80, 0xcd);
-    try {
-        decodeCheckpoint(noise, "my-ckpt-name");
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("my-ckpt-name"),
-                  std::string::npos);
-    }
 }
 
 TEST(CheckpointCorruptionTest, CorruptPayloadFailsRestoreCleanly)

@@ -232,6 +232,55 @@ TEST(ReplaySampledTest, RejectsImpossibleWindowing)
                  FatalError);
 }
 
+TEST(ReplaySampledTest, NoWindowIsFatal)
+{
+    // A warm-up longer than the trace leaves no window to measure;
+    // preparing the trace already says so.
+    replay::ReplayOptions opt;
+    opt.samplePeriod = 1000000;
+    opt.sampleWarmup = 999000;
+    opt.sampleMeasure = 1000;
+    ASSERT_LT(tinyTrace().records.size(), opt.sampleWarmup);
+    try {
+        replay::replayTrace(SimConfig{}, tinyBenchmark().program,
+                            tinyTrace(), opt);
+        ADD_FAILURE() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "sampling produced no measured instructions"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ReplaySampledTest, PooledWindowsMatchSerial)
+{
+    const auto &bench = tinyBenchmark();
+    SimConfig cfg;
+    cfg.fetch = pipeConfigFor("16-16", 128);
+    replay::ReplayOptions opt;
+    opt.samplePeriod = 2000;
+    opt.sampleWarmup = 200;
+    opt.sampleMeasure = 500;
+    const SimResult serial =
+        replay::replayTrace(cfg, bench.program, tinyTrace(), opt);
+    ASSERT_GT(std::stoul(serial.meta.at("sample_windows")), 1u);
+
+    for (unsigned jobs : {1u, 2u, 8u}) {
+        opt.jobs = jobs;
+        const SimResult r =
+            replay::replayTrace(cfg, bench.program, tinyTrace(), opt);
+        const std::string what = "jobs " + std::to_string(jobs);
+        EXPECT_EQ(r.totalCycles, serial.totalCycles) << what;
+        EXPECT_EQ(r.instructions, serial.instructions) << what;
+        EXPECT_EQ(r.counters, serial.counters) << what;
+        for (const char *key :
+             {"sample_windows", "cpi_estimate", "cpi_rel_ci95"})
+            EXPECT_EQ(r.meta.at(key), serial.meta.at(key))
+                << what << " " << key;
+    }
+}
+
 TEST(ReplaySweepTest, TraceEngineSweepMatchesCycleSweep)
 {
     const auto &bench = tinyBenchmark();
@@ -350,6 +399,17 @@ TEST(ReplaySweepTest, EmptyTraceIsFatalBeforeAnyPoint)
     expectSweepFatalBeforeAnyPoint(traceSweepSpec(empty),
                                    tinyBenchmark().program,
                                    "the trace holds no records");
+}
+
+TEST(ReplaySweepTest, NoWindowIsFatalBeforeAnyPoint)
+{
+    SweepSpec spec = sampledSweepSpec(tinyTrace());
+    spec.samplePeriod = 1000000;
+    spec.sampleWarmup = 999000; // longer than the trace
+    spec.sampleMeasure = 1000;
+    expectSweepFatalBeforeAnyPoint(
+        spec, tinyBenchmark().program,
+        "sampling produced no measured instructions");
 }
 
 TEST(ReplaySweepTest, SyncScanRunsOncePerSweep)
@@ -482,6 +542,24 @@ TEST(StandardFlagsTest, CliRoundTrip)
         registerStandardFlags(gone);
         const char *goneArgv[] = {"tool", removed, "1"};
         EXPECT_THROW(gone.parse(3, goneArgv), FatalError) << removed;
+    }
+}
+
+TEST(StandardFlagsTest, CheckpointFlagsAreGone)
+{
+    // Sampled windows always warm up cold: there is no checkpoint
+    // store to name or create.
+    {
+        CliParser cli("test");
+        registerStandardFlags(cli);
+        const char *argv[] = {"tool", "--ckpt-dir", "x"};
+        EXPECT_THROW(cli.parse(3, argv), FatalError);
+    }
+    {
+        CliParser cli("test");
+        registerStandardFlags(cli);
+        const char *argv[] = {"tool", "--ckpt-create"};
+        EXPECT_THROW(cli.parse(2, argv), FatalError);
     }
 }
 

@@ -2,13 +2,11 @@
  * pipesim-trace: capture, inspect and replay committed-instruction
  * traces (docs/trace_replay.md).
  *
- *     pipesim-trace capture    <out.pipetrc> [--workload ...] [--scale f]
- *     pipesim-trace inspect    <trace.pipetrc>
- *     pipesim-trace replay     <trace.pipetrc> [--strategy s] [--cache n]
- *                              [--sample-period n] [--jobs n]
- *                              [--ckpt-dir d [--ckpt-create]]
- *                              [--stats-json path]
- *     pipesim-trace checkpoint <ckpt.pipeckpt> [--json]
+ *     pipesim-trace capture <out.pipetrc> [--workload ...] [--scale f]
+ *     pipesim-trace inspect <trace.pipetrc>
+ *     pipesim-trace replay  <trace.pipetrc> [--strategy s] [--cache n]
+ *                           [--sample-period n] [--jobs n]
+ *                           [--stats-json path]
  *
  * A trace stores the committed fetch-address stream plus the traced
  * program's sha256, so `replay` rebuilds the same workload
@@ -16,9 +14,7 @@
  * whose program hash disagrees.  Replay is exact (bit-identical
  * counters and cycle count) by default; --sample-period enables
  * systematic sampling for a fast estimate, whose windows can run on a
- * thread pool (--jobs) and skip their warm-ups entirely via a
- * live-points checkpoint directory (--ckpt-dir; create the snapshots
- * first with --ckpt-create).  `checkpoint` inspects a PIPECKPT file.
+ * thread pool (--jobs).
  */
 
 #include <fstream>
@@ -26,11 +22,9 @@
 #include <string>
 
 #include "common/log.hh"
-#include "obs/json.hh"
 #include "obs/profiler.hh"
 #include "obs/stats_export.hh"
 #include "replay/capture.hh"
-#include "replay/checkpoint.hh"
 #include "replay/replay_engine.hh"
 #include "replay/trace_format.hh"
 #include "sim/cli.hh"
@@ -139,14 +133,6 @@ runReplay(CliParser &cli)
     opt.sampleWarmup = unsigned(cli.getInt("sample-warmup"));
     opt.sampleMeasure = unsigned(cli.getInt("sample-measure"));
     opt.jobs = unsigned(cli.getInt("jobs"));
-    opt.ckptDir = cli.get("ckpt-dir");
-    opt.ckptCreate = cli.getFlag("ckpt-create");
-    if (!opt.ckptDir.empty() && opt.samplePeriod == 0)
-        fatal("--ckpt-dir requires --sample-period > 0: checkpoints "
-              "snapshot sampling windows");
-    if (opt.ckptCreate && opt.ckptDir.empty())
-        fatal("--ckpt-create requires --ckpt-dir to name the "
-              "checkpoint directory");
 
     const SimResult result =
         replay::replayTrace(cfg, program, trace, opt);
@@ -174,44 +160,10 @@ runReplay(CliParser &cli)
 }
 
 int
-runCheckpointInspect(CliParser &cli)
-{
-    const auto &args = cli.positional();
-    if (args.size() != 2)
-        fatal("checkpoint needs exactly one checkpoint path: "
-              "pipesim-trace checkpoint <ckpt.pipeckpt>");
-    const replay::CheckpointSet set = replay::readCheckpoint(args[1]);
-    if (!cli.getFlag("json")) {
-        std::cout << replay::describeCheckpoint(set);
-        return 0;
-    }
-    obs::JsonWriter w(std::cout);
-    w.beginObject();
-    w.key("file_sha256").value(set.sha256);
-    w.key("trace_sha256").value(set.meta.traceSha256);
-    w.key("program_sha256").value(set.meta.programSha256);
-    w.key("config_sha256").value(set.meta.configSha256);
-    w.key("sample_period").value(set.meta.samplePeriod);
-    w.key("sample_warmup").value(set.meta.sampleWarmup);
-    w.key("sample_measure").value(set.meta.sampleMeasure);
-    w.key("trace_records").value(set.meta.traceRecords);
-    w.key("provenance").value(set.meta.provenance);
-    std::uint64_t stateBytes = 0;
-    for (const auto &win : set.windows)
-        stateBytes += win.payload.size();
-    w.key("windows").value(std::uint64_t(set.windows.size()));
-    w.key("state_bytes").value(stateBytes);
-    w.endObject();
-    std::cout << "\n";
-    return 0;
-}
-
-int
 run(int argc, char **argv)
 {
     CliParser cli("capture, inspect and replay committed-instruction "
-                  "traces (subcommands: capture | inspect | replay | "
-                  "checkpoint)");
+                  "traces (subcommands: capture | inspect | replay)");
     addWorkloadOptions(cli);
     cli.addOption("strategy", "16-16",
                   "replay fetch strategy: conv | tib | <iq>-<iqb>");
@@ -226,17 +178,8 @@ run(int argc, char **argv)
                   "sampled replay: worker threads for the windows "
                   "(0 = PIPESIM_JOBS env or hardware concurrency; "
                   "results are bit-identical for any value)");
-    cli.addOption("ckpt-dir", "",
-                  "sampled replay: live-points checkpoint directory "
-                  "(restore windows from warm snapshots)");
-    cli.addFlag("ckpt-create",
-                "sampled replay: create/refresh the checkpoint file "
-                "under --ckpt-dir instead of requiring it");
     cli.addOption("stats-json", "",
                   "replay: write the result as JSON ('-' = stdout)");
-    cli.addFlag("json",
-                "checkpoint: emit machine-readable "
-                "JSON on stdout instead of the human summary");
     obs::ProfileOptions::addOptions(cli);
     if (!cli.parse(argc, argv))
         return 0;
@@ -245,17 +188,15 @@ run(int argc, char **argv)
     const auto &args = cli.positional();
     if (args.empty())
         fatal("missing subcommand: pipesim-trace capture | inspect | "
-              "replay | checkpoint (--help for usage)");
+              "replay (--help for usage)");
     if (args[0] == "capture")
         return runCapture(cli);
     if (args[0] == "inspect")
         return runInspect(cli);
     if (args[0] == "replay")
         return runReplay(cli);
-    if (args[0] == "checkpoint")
-        return runCheckpointInspect(cli);
     fatal("unknown subcommand '", args[0],
-          "' (expected capture, inspect, replay or checkpoint)");
+          "' (expected capture, inspect or replay)");
 }
 
 } // namespace
