@@ -10,18 +10,23 @@
  * (cpiStack false) and must stay within a few percent of the
  * pre-probe-bus simulation rate; BM_SimulatePipeCpiStack and
  * BM_SimulatePipeTraced show what the accounting and an attached
- * consumer cost.
+ * consumer cost.  BM_MemoBoundary times one loop-memo boundary's
+ * keyed checkpoint and its restore.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <sstream>
 #include <vector>
 
 #include "assembler/assembler.hh"
 #include "common/log.hh"
+#include "common/state_io.hh"
+#include "mem/fpu.hh"
 #include "obs/bench_json.hh"
 #include "obs/trace_export.hh"
+#include "replay/capture.hh"
 #include "sim/experiment.hh"
 #include "sim/guard.hh"
 #include "sim/simulator.hh"
@@ -131,6 +136,62 @@ BM_SimulatePipeTraced(benchmark::State &state)
         double(events) / double(state.iterations());
 }
 BENCHMARK(BM_SimulatePipeTraced)->Arg(1)->Arg(6);
+
+/**
+ * The loop memo's boundary cost: one keyed Simulator::saveState,
+ * sized like the last one as Simulator::memoize sizes it, and one
+ * restoreState of its payload, on a trace-driven machine stopped
+ * halfway through the small benchmark.  range(0) picks the fetch
+ * configuration: 0 is 16-16:128, 1 is conv:1024.  save_ns and
+ * restore_ns split each iteration's time; payload_bytes, key_bytes
+ * and fields size the checkpoint.
+ */
+void
+BM_MemoBoundary(benchmark::State &state)
+{
+    static const replay::Trace trace = replay::captureTrace(
+        SimConfig{}, smallBench().program, "micro_simspeed");
+    SimConfig cfg;
+    cfg.fetch = state.range(0) == 0 ? pipeConfigFor("16-16", 128)
+                                    : conventionalConfigFor(1024);
+    DataMemory mem;
+    Simulator sim(cfg, smallBench().program, mem, &trace);
+    sim.runUntil(trace.records.size() / 2);
+
+    using Clock = std::chrono::steady_clock;
+    const auto nsSince = [](Clock::time_point t0) {
+        return double(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          Clock::now() - t0)
+                          .count());
+    };
+    StateWriter::Sizes hint;
+    double saveNs = 0, restoreNs = 0;
+    for (auto _ : state) {
+        auto t0 = Clock::now();
+        StateWriter w(sim.now(), &FpuDevice::contains, hint);
+        sim.saveState(w);
+        hint = w.sizes();
+        std::vector<std::uint8_t> key = w.takeKey();
+        std::vector<StateWriter::Field> fields = w.takeFields();
+        const std::vector<std::uint8_t> payload = w.take();
+        saveNs += nsSince(t0);
+        benchmark::DoNotOptimize(key.data());
+        benchmark::DoNotOptimize(fields.data());
+
+        t0 = Clock::now();
+        StateReader r(payload, "memo boundary");
+        sim.restoreState(r);
+        r.expectEnd();
+        restoreNs += nsSince(t0);
+    }
+    const double n = double(state.iterations());
+    state.counters["save_ns"] = saveNs / n;
+    state.counters["restore_ns"] = restoreNs / n;
+    state.counters["payload_bytes"] = double(hint.bytes);
+    state.counters["key_bytes"] = double(hint.key);
+    state.counters["fields"] = double(hint.fields);
+}
+BENCHMARK(BM_MemoBoundary)->Arg(0)->Arg(1);
 
 const workloads::Benchmark &
 paperBench()

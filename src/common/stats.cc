@@ -83,8 +83,7 @@ void
 Histogram::saveState(StateWriter &w) const
 {
     w.u32(std::uint32_t(_buckets.size()));
-    for (std::uint64_t b : _buckets)
-        w.count(b);
+    w.counts(_buckets.data(), _buckets.size());
     w.count(_count);
     w.count(_sum);
     w.u64(_min);
@@ -119,6 +118,7 @@ StatGroup::regCounter(const std::string &name, Counter *c,
         panic("duplicate stat name '", name, "'");
     _counters.emplace(name, CounterEntry{c, desc});
     _order.push_back(name);
+    _counterOrder.push_back(c);
 }
 
 void
@@ -216,6 +216,14 @@ StatGroup::counterNames() const
         if (_counters.count(name))
             names.push_back(name);
     return names;
+}
+
+void
+StatGroup::counterValues(std::vector<std::uint64_t> &values) const
+{
+    values.resize(_counterOrder.size());
+    for (std::size_t i = 0; i < _counterOrder.size(); ++i)
+        values[i] = _counterOrder[i]->value();
 }
 
 std::vector<std::string>

@@ -159,6 +159,12 @@ class StatGroup
     /** All registered counter names, in registration order. */
     std::vector<std::string> counterNames() const;
 
+    /**
+     * Fill @p values with every counter's value, in counterNames()
+     * order: a snapshot that looks up no name.
+     */
+    void counterValues(std::vector<std::uint64_t> &values) const;
+
     /** All registered formula names, in registration order. */
     std::vector<std::string> formulaNames() const;
 
@@ -180,6 +186,7 @@ class StatGroup
     };
 
     std::vector<std::string> _order;
+    std::vector<Counter *> _counterOrder; //!< counters in _order's order
     std::map<std::string, CounterEntry> _counters;
     std::map<std::string, HistEntry> _hists;
     std::map<std::string, FormulaEntry> _formulas;

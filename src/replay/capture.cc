@@ -52,7 +52,7 @@ captureTrace(const SimConfig &config, const Program &program,
     trace.records.reserve(count);
     execute(program, config.maxCycles,
             [&trace](const TraceRecord &r) { trace.records.push_back(r); });
-    encodeTrace(trace); // refresh trace.sha256
+    trace.sha256 = traceSha256(trace);
     return trace;
 }
 

@@ -27,7 +27,10 @@ namespace pipesim::replay
 
 /**
  * Execute @p program to HALT and return its trace (meta filled in,
- * sha256 computed), with @p provenance stored in the header.
+ * sha256 computed), with @p provenance stored in the header.  The
+ * records fill an exact-size vector (pages of their own, at Livermore
+ * scale: RecordAllocator) and the digest is streamed (traceSha256),
+ * so the capture holds the records once and never their encoding.
  * @p config does not shape the stream: it only bounds it at
  * config.maxCycles + 1 records, past which a timed run could not
  * halt in time.  A program the executor cannot take to HALT runs on

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <future>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -90,7 +89,8 @@ struct WindowOutcome
 
     std::uint64_t insts = 0;
     Cycle cycles = 0;
-    std::map<std::string, std::uint64_t> counterDeltas;
+    /** Each counter's measured delta, in counterNames() order. */
+    std::vector<std::uint64_t> counterDeltas;
 
     std::uint64_t warmNs = 0;
     std::uint64_t measureNs = 0;
@@ -120,12 +120,9 @@ runMeasure(Simulator &m, const SampleWindow &win, bool prof,
            WindowOutcome &out)
 {
     const Cycle warmEndCycle = m.now();
-    StatGroup &stats = m.stats();
-    const auto names = stats.counterNames();
+    const StatGroup &stats = m.stats();
     std::vector<std::uint64_t> before;
-    before.reserve(names.size());
-    for (const auto &name : names)
-        before.push_back(stats.counterValue(name));
+    stats.counterValues(before);
 
     const std::uint64_t startNs = prof ? obs::profileNowNs() : 0;
     m.runUntil(win.measureEnd);
@@ -136,9 +133,9 @@ runMeasure(Simulator &m, const SampleWindow &win, bool prof,
     out.cycles = m.now() - warmEndCycle;
     if (out.insts == 0)
         return;
-    for (std::size_t i = 0; i < names.size(); ++i)
-        out.counterDeltas[names[i]] =
-            stats.counterValue(names[i]) - before[i];
+    stats.counterValues(out.counterDeltas);
+    for (std::size_t i = 0; i < before.size(); ++i)
+        out.counterDeltas[i] -= before[i];
 }
 
 /**
@@ -171,12 +168,14 @@ forEachWindow(std::size_t count, unsigned jobs, const Job &job)
  * then runs its measured span.  The windows share one empty
  * DataMemory, which a trace-driven machine never reads or writes;
  * serially (@p jobs <= 1) they stop at the first window whose warm-up
- * runs off the trace end.
+ * runs off the trace end.  @p counterNames receives the names of the
+ * counters every outcome's deltas list, in order.
  */
 std::vector<WindowOutcome>
 runColdWindows(const SimConfig &config, const Program &program,
                const Trace &trace, const std::vector<SampleWindow> &plan,
-               bool prof, unsigned jobs)
+               bool prof, unsigned jobs,
+               std::vector<std::string> &counterNames)
 {
     DataMemory dataMem;
     bool ranDry = false; // written by the serial pass only
@@ -188,6 +187,10 @@ runColdWindows(const SimConfig &config, const Program &program,
         const SampleWindow &win = plan[i];
         WindowOutcome &out = outcomes[i];
         Simulator m(config, program, dataMem, &trace, win.start);
+        // Every window's machine registers the same counters; the
+        // first always runs.
+        if (i == 0)
+            counterNames = m.stats().counterNames();
         m.fetchUnit().reset(trace.records[win.start].pc);
         if (!runWarmup(m, win.warmEnd, prof, out)) {
             if (jobs <= 1)
@@ -253,14 +256,15 @@ PreparedReplay::replaySampled(const SimConfig &config) const
         measurePhase = obs::CachedPhase("window.measure");
     }
 
+    std::vector<std::string> counterNames;
     const std::vector<WindowOutcome> outcomes =
         runColdWindows(config, _program, _trace, _plan, prof,
-                       resolveJobCount(_options.jobs));
+                       resolveJobCount(_options.jobs), counterNames);
 
     // Accumulate in plan order: serial and pooled windows feed the
     // estimator the same sequence, so the result is bit-identical for
     // any job count.
-    std::map<std::string, std::uint64_t> measuredCounters;
+    std::vector<std::uint64_t> counterSums(counterNames.size());
     std::vector<double> windowCpis;
     std::uint64_t measuredInsts = 0;
     Cycle measuredCycles = 0;
@@ -276,8 +280,8 @@ PreparedReplay::replaySampled(const SimConfig &config) const
         measuredInsts += out.insts;
         measuredCycles += out.cycles;
         windowCpis.push_back(double(out.cycles) / double(out.insts));
-        for (const auto &[name, delta] : out.counterDeltas)
-            measuredCounters[name] += delta;
+        for (std::size_t i = 0; i < counterSums.size(); ++i)
+            counterSums[i] += out.counterDeltas[i];
     }
 
     if (measuredInsts == 0) // planFor rejects an empty plan; a backstop
@@ -303,7 +307,8 @@ PreparedReplay::replaySampled(const SimConfig &config) const
     SimResult r;
     r.totalCycles = Cycle(std::llround(cpi * double(total)));
     r.instructions = total;
-    r.counters = std::move(measuredCounters);
+    for (std::size_t i = 0; i < counterNames.size(); ++i)
+        r.counters.emplace(counterNames[i], counterSums[i]);
     r.meta["engine"] = "trace-sampled";
     r.meta["trace_sha256"] = _trace.sha256;
     r.meta["program_sha256"] = _trace.meta.programSha256;

@@ -1,8 +1,11 @@
 #include "replay/trace_format.hh"
 
+#include <sys/mman.h>
+
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <sstream>
 
 #include "assembler/program.hh"
@@ -159,6 +162,22 @@ programSha256(const Program &program)
     return h.hexDigest();
 }
 
+void *
+mapRecordPages(std::size_t bytes)
+{
+    void *pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (pages == MAP_FAILED)
+        throw std::bad_alloc();
+    return pages;
+}
+
+void
+unmapRecordPages(void *pages, std::size_t bytes)
+{
+    munmap(pages, bytes);
+}
+
 std::uint32_t
 crc32(const void *data, std::size_t len)
 {
@@ -179,18 +198,29 @@ crc32(const void *data, std::size_t len)
     return crc ^ 0xffffffffu;
 }
 
-std::vector<std::uint8_t>
-encodeTrace(Trace &trace)
+namespace
+{
+
+/**
+ * Write the PIPETRC byte stream of @p trace to @p sink, a header and
+ * then each chunk's frame and payload in turn, as
+ * sink(const std::uint8_t *, std::size_t).  Only one chunk's payload
+ * is held at a time.
+ */
+template <class Sink>
+void
+encodeTo(const Trace &trace, Sink &&sink)
 {
     PIPESIM_ASSERT(trace.meta.programSha256.size() == 64,
                    "program hash must be 64 hex chars");
-    std::vector<std::uint8_t> out;
-    out.insert(out.end(), kMagic.begin(), kMagic.end());
-    putU32(out, traceFormatVersion);
-    putU32(out, 0); // reserved
-    putU64(out, trace.records.size());
-    putU32(out, trace.meta.entry);
-    putU32(out, traceChunkRecords);
+    // The header, then each chunk's size and checksum.
+    std::vector<std::uint8_t> frame;
+    frame.insert(frame.end(), kMagic.begin(), kMagic.end());
+    putU32(frame, traceFormatVersion);
+    putU32(frame, 0); // reserved
+    putU64(frame, trace.records.size());
+    putU32(frame, trace.meta.entry);
+    putU32(frame, traceChunkRecords);
     for (unsigned i = 0; i < 64; i += 2) {
         const auto nibble = [&](char c) -> std::uint8_t {
             if (c >= '0' && c <= '9')
@@ -199,17 +229,18 @@ encodeTrace(Trace &trace)
                            "program hash must be lower-case hex");
             return std::uint8_t(c - 'a' + 10);
         };
-        out.push_back(
+        frame.push_back(
             std::uint8_t(nibble(trace.meta.programSha256[i]) << 4 |
                          nibble(trace.meta.programSha256[i + 1])));
     }
-    putU32(out, std::uint32_t(trace.meta.provenance.size()));
-    out.insert(out.end(), trace.meta.provenance.begin(),
+    putU32(frame, std::uint32_t(trace.meta.provenance.size()));
+    frame.insert(frame.end(), trace.meta.provenance.begin(),
                trace.meta.provenance.end());
     // Header checksum: the chunk CRCs only protect record payloads,
     // but a flipped header byte (entry pc, record count, hash) would
     // silently shift every decoded address.
-    putU32(out, crc32(out.data(), out.size()));
+    putU32(frame, crc32(frame.data(), frame.size()));
+    sink(frame.data(), frame.size());
 
     std::vector<std::uint8_t> payload;
     for (std::size_t base = 0; base < trace.records.size();
@@ -241,13 +272,35 @@ encodeTrace(Trace &trace)
                 putVarint(payload,
                           zigzag(addrDelta(r.branchTarget, r.pc)));
         }
-        putU32(out, std::uint32_t(payload.size()));
-        putU32(out, crc32(payload.data(), payload.size()));
-        out.insert(out.end(), payload.begin(), payload.end());
+        frame.clear();
+        putU32(frame, std::uint32_t(payload.size()));
+        putU32(frame, crc32(payload.data(), payload.size()));
+        sink(frame.data(), frame.size());
+        sink(payload.data(), payload.size());
     }
+}
 
+} // namespace
+
+std::vector<std::uint8_t>
+encodeTrace(Trace &trace)
+{
+    std::vector<std::uint8_t> out;
+    encodeTo(trace, [&out](const std::uint8_t *p, std::size_t n) {
+        out.insert(out.end(), p, p + n);
+    });
     trace.sha256 = sha256Hex(out);
     return out;
+}
+
+std::string
+traceSha256(const Trace &trace)
+{
+    Sha256 h;
+    encodeTo(trace, [&h](const std::uint8_t *p, std::size_t n) {
+        h.update(p, n);
+    });
+    return h.hexDigest();
 }
 
 Trace

@@ -36,7 +36,9 @@
 #ifndef PIPESIM_REPLAY_TRACE_FORMAT_HH
 #define PIPESIM_REPLAY_TRACE_FORMAT_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,57 @@ struct TraceRecord
 };
 static_assert(sizeof(TraceRecord) == 16);
 
+/** Map and unmap whole pages for RecordAllocator (trace_format.cc). */
+void *mapRecordPages(std::size_t bytes);
+void unmapRecordPages(void *pages, std::size_t bytes);
+
+/**
+ * The allocator of a trace's records.  A block of at least
+ * mappedBytes gets pages mapped for it alone, unmapped when it is
+ * freed; a smaller one comes from the heap.  A trace is megabytes and
+ * is replaced whole: from the heap, each replaced trace would leave a
+ * trace-sized hole that later small allocations split, so a process
+ * that keeps capturing (a benchmark's set-up, say) would grow its heap
+ * by a trace at a time.
+ */
+template <class T>
+class RecordAllocator
+{
+  public:
+    using value_type = T;
+
+    static constexpr std::size_t mappedBytes = std::size_t(1) << 20;
+
+    RecordAllocator() = default;
+    template <class U>
+    RecordAllocator(const RecordAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        if (n * sizeof(T) < mappedBytes)
+            return std::allocator<T>().allocate(n);
+        return static_cast<T *>(mapRecordPages(n * sizeof(T)));
+    }
+
+    void
+    deallocate(T *p, std::size_t n)
+    {
+        if (n * sizeof(T) < mappedBytes)
+            std::allocator<T>().deallocate(p, n);
+        else
+            unmapRecordPages(p, n * sizeof(T));
+    }
+
+    friend bool
+    operator==(const RecordAllocator &, const RecordAllocator &)
+    {
+        return true;
+    }
+};
+
 /** Trace identity and provenance, serialised in the header. */
 struct TraceMeta
 {
@@ -87,12 +140,13 @@ struct TraceMeta
 struct Trace
 {
     TraceMeta meta;
-    std::vector<TraceRecord> records;
+    std::vector<TraceRecord, RecordAllocator<TraceRecord>> records;
 
     /**
      * SHA-256 (hex) of the encoded byte stream; filled by
-     * encodeTrace/decodeTrace/writeTrace/readTrace so results can be
-     * attributed to an exact capture.
+     * encodeTrace/decodeTrace/writeTrace/readTrace and by captureTrace
+     * (through traceSha256) so results can be attributed to an exact
+     * capture.
      */
     std::string sha256;
 };
@@ -109,6 +163,14 @@ std::uint32_t crc32(const void *data, std::size_t len);
 
 /** Encode @p trace; also refreshes trace.sha256. */
 std::vector<std::uint8_t> encodeTrace(Trace &trace);
+
+/**
+ * SHA-256 (hex) of the bytes encodeTrace(@p trace) would return,
+ * hashed chunk by chunk as they are encoded: the encoded image is
+ * never held, so a capture fingerprints its trace without a second
+ * copy of it.
+ */
+std::string traceSha256(const Trace &trace);
 
 /**
  * Decode a trace from @p bytes.  @p name labels diagnostics (file

@@ -1,6 +1,8 @@
 #include "sim/loop_memo.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "mem/fpu.hh"
 
@@ -19,6 +21,9 @@ namespace
 bool
 sameTiming(const replay::TraceRecord &a, const replay::TraceRecord &b)
 {
+    // Most compared records are simply equal: one 16-byte compare.
+    if (std::memcmp(&a, &b, sizeof a) == 0)
+        return true;
     const auto device = [](Addr addr) {
         return FpuDevice::contains(addr) ? addr : 0;
     };
@@ -30,12 +35,29 @@ sameTiming(const replay::TraceRecord &a, const replay::TraceRecord &b)
            device(a.memAddr) == device(b.memAddr);
 }
 
+/**
+ * A hash of @p key, eight bytes at a time.  It lives only in memory
+ * (a hit is confirmed by comparing the keys), so it may read the
+ * words in the host's byte order.
+ */
 std::uint64_t
-fnv1a(const std::vector<std::uint8_t> &bytes)
+hashKey(const std::vector<std::uint8_t> &key)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint8_t b : bytes)
-        h = (h ^ b) * 0x100000001b3ull;
+    std::uint64_t h = key.size();
+    const auto mix = [&h](std::uint64_t w) {
+        h = (std::rotl(h, 5) ^ w) * 0x9e3779b97f4a7c15ull;
+    };
+    std::size_t i = 0;
+    for (; i + 8 <= key.size(); i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, key.data() + i, 8);
+        mix(w);
+    }
+    if (i < key.size()) {
+        std::uint64_t tail = 0;
+        std::memcpy(&tail, key.data() + i, key.size() - i);
+        mix(tail);
+    }
     return h;
 }
 
@@ -133,7 +155,7 @@ LoopMemo::repeatEnd(std::size_t from, std::size_t to, std::size_t period)
     std::size_t t = from;
     if (const replay::Trace *trace = _records.trace()) {
         // The memo's hot loop: a trace's vector is read directly.
-        const std::vector<replay::TraceRecord> &r = trace->records;
+        const auto &r = trace->records;
         for (to = std::min(to, r.size());
              t < to && sameTiming(r[t], r[t - period]); ++t) {
         }
@@ -153,7 +175,7 @@ std::optional<std::vector<std::uint8_t>>
 LoopMemo::offer(Boundary b, std::size_t recordCap, Cycle cycleCap,
                 std::size_t keepBehind)
 {
-    b.hash = fnv1a(b.key);
+    b.hash = hashKey(b.key);
     const auto sameKey = [&b](const Boundary &o) {
         return o.hash == b.hash && o.key == b.key;
     };

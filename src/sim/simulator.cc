@@ -270,13 +270,15 @@ Simulator::memoize(std::size_t record)
     const auto span = _pipeline->resyncDataAddrs(false);
     if (!span)
         return;
-    StateWriter w(_now, &FpuDevice::contains);
+    // Sized like the last one: a loop's checkpoints barely vary.
+    StateWriter w(_now, &FpuDevice::contains, _memoSizes);
     saveState(w);
+    _memoSizes = w.sizes();
     LoopMemo::Boundary b;
     b.cursor = cursor;
     b.now = _now;
-    b.key = w.key();
-    b.fields = w.fields();
+    b.key = w.takeKey();
+    b.fields = w.takeFields();
     b.payload = w.take();
     // The clock watchdogs are monotone, and every skipped period
     // repeats the retire gaps of the two observed ones, which did not

@@ -230,6 +230,8 @@ class Simulator
     std::unique_ptr<Pipeline> _pipeline;
     std::unique_ptr<obs::CpiStack> _cpiStack;
     std::unique_ptr<LoopMemo> _memo;
+    /** The last keyed checkpoint's sizes, the next one's hint. */
+    StateWriter::Sizes _memoSizes;
     StatGroup _stats;
 
     Cycle _now = 0;

@@ -281,6 +281,51 @@ TEST(ReplaySampledTest, PooledWindowsMatchSerial)
     }
 }
 
+TEST(ReplaySampledTest, CountersAreWindowSums)
+{
+    // Each planned window replayed by hand, its counters read by name
+    // around the measured span: the sums are the sampled counters.
+    const auto &bench = tinyBenchmark();
+    const auto &trace = tinyTrace();
+    SimConfig cfg;
+    cfg.fetch = pipeConfigFor("16-16", 128);
+    replay::ReplayOptions opt;
+    opt.samplePeriod = 2000;
+    opt.sampleWarmup = 200;
+    opt.sampleMeasure = 500;
+    const auto plan = replay::planSampleWindows(
+        trace.records.size(),
+        replay::computeSyncPoints(bench.program, trace), opt);
+    ASSERT_GT(plan.size(), 1u);
+
+    std::map<std::string, std::uint64_t> sums;
+    DataMemory mem;
+    for (const replay::SampleWindow &win : plan) {
+        Simulator m(cfg, bench.program, mem, &trace, win.start);
+        m.fetchUnit().reset(trace.records[win.start].pc);
+        m.runUntil(win.warmEnd);
+        if (m.pipeline().cursor() < win.warmEnd)
+            break;
+        std::map<std::string, std::uint64_t> before;
+        for (const std::string &name : m.stats().counterNames())
+            before[name] = m.stats().counterValue(name);
+        m.runUntil(win.measureEnd);
+        if (m.pipeline().cursor() == win.warmEnd)
+            continue;
+        for (const auto &[name, value] : before)
+            sums[name] += m.stats().counterValue(name) - value;
+    }
+    ASSERT_FALSE(sums.empty());
+    ASSERT_GT(sums.at("cpu.retired"), 0u);
+
+    for (unsigned jobs : {1u, 8u}) {
+        opt.jobs = jobs;
+        const SimResult r =
+            replay::replayTrace(cfg, bench.program, trace, opt);
+        EXPECT_EQ(r.counters, sums) << "jobs " << jobs;
+    }
+}
+
 TEST(ReplaySweepTest, TraceEngineSweepMatchesCycleSweep)
 {
     const auto &bench = tinyBenchmark();

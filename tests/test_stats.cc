@@ -177,3 +177,24 @@ TEST(StatGroupTest, CounterNamesPreserveOrder)
     EXPECT_EQ(names[1], "a");
     EXPECT_EQ(names[2], "m");
 }
+
+TEST(StatGroupTest, CounterValuesFollowCounterNames)
+{
+    StatGroup g;
+    Counter a, b, c;
+    Histogram h;
+    g.regCounter("z", &a);
+    g.regHistogram("h", &h);
+    g.regCounter("a", &b);
+    g.regFormula("f", [] { return 1.0; });
+    g.regCounter("m", &c);
+    a.set(3);
+    b.set(1);
+    c.set(2);
+    std::vector<std::uint64_t> values = {9, 9, 9, 9, 9};
+    g.counterValues(values);
+    const auto names = g.counterNames();
+    ASSERT_EQ(values.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(values[i], g.counterValue(names[i])) << names[i];
+}

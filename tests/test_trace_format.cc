@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -116,6 +117,38 @@ TEST(TraceFormatTest, DescribeNamesTheEssentials)
     EXPECT_NE(d.find("50"), std::string::npos);
     EXPECT_NE(d.find(t.meta.provenance), std::string::npos);
     EXPECT_NE(d.find(t.sha256), std::string::npos);
+}
+
+TEST(TraceFormatTest, StreamedHashMatchesEncodedBytes)
+{
+    Trace empty;
+    empty.meta.programSha256 = std::string(64, 'c');
+    for (Trace t : {empty, sampleTrace(100),
+                    sampleTrace(2 * traceChunkRecords + 7)}) {
+        const std::string streamed = traceSha256(t);
+        EXPECT_EQ(streamed, sha256Hex(encodeTrace(t)))
+            << t.records.size() << " records";
+        EXPECT_EQ(streamed, t.sha256) << t.records.size() << " records";
+    }
+}
+
+TEST(TraceFormatTest, MappedRecordsRoundTrip)
+{
+    // Past RecordAllocator::mappedBytes the records move from the heap
+    // to pages of their own as the vector grows, and decoding reserves
+    // mapped pages up front.
+    const std::size_t records =
+        2 * RecordAllocator<TraceRecord>::mappedBytes / sizeof(TraceRecord);
+    Trace t = sampleTrace(records);
+    ASSERT_EQ(t.records.size(), records);
+    const Trace back = decodeTrace(encodeTrace(t), "mapped");
+    EXPECT_EQ(back.records, t.records);
+    EXPECT_EQ(back.sha256, t.sha256);
+    Trace copy = back;
+    copy.records.resize(10); // shrinks in place, still mapped
+    copy.records.shrink_to_fit(); // back to the heap
+    EXPECT_TRUE(std::equal(copy.records.begin(), copy.records.end(),
+                           t.records.begin()));
 }
 
 TEST(TraceFormatTest, CapturedLivermoreTraceRoundTrips)
